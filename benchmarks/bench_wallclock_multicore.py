@@ -94,7 +94,6 @@ def test_wallclock_multicore():
             (
                 cores,
                 point["backend"],
-                point.get("transport", "pipe"),
                 f"{point['wall_pps']:,.0f}",
                 speedup,
                 f"{modeled[i] / 1e6:.2f}",
@@ -107,7 +106,7 @@ def test_wallclock_multicore():
             f"Sharded wall-clock vs modeled Fig. 19 scaling ({CASE}; "
             f"single fused baseline {baseline:,.0f} pps; host has "
             f"{cpu_count} CPU(s))",
-            ("workers", "backend", "transport", "wall pps", "vs fused",
+            ("workers", "backend", "wall pps", "vs fused",
              "modeled Mpps", "modeled scale"),
             rows,
         ),
@@ -125,7 +124,6 @@ def test_wallclock_multicore():
         assert point["wall_pps"] > 0
         # Every multicore point must carry the host-class annotations.
         assert point["oversubscribed"] == (cpu_count < cores + 1)
-        assert point["transport"] in ("ring", "pipe")
     assert f"{CASE}/multicore" in doc["speedups"]
     # The modeled axis scales near-linearly regardless of the host — it is
     # the simulated hardware's number, not the simulator's.
@@ -133,14 +131,14 @@ def test_wallclock_multicore():
 
     # The physical acceptance bars — only meaningful when the host can
     # actually run the shard workers + the gather loop in parallel.
-    # ISSUE 7: workers=2 over the zero-copy transport beats fused 1.5x.
+    # workers=2 process workers over the frame transport beat fused 1.5x.
     two = by_variant.get("sharded2")
     if two is not None and not two["oversubscribed"] \
-            and two["backend"] == "process" and two["transport"] == "ring":
+            and two["backend"] == "process":
         speedup2 = two["wall_pps"] / baseline
         assert speedup2 >= SHARDED2_SPEEDUP_FLOOR, (
             f"sharded(2) wall-clock speedup {speedup2:.2f}x on {CASE} "
-            f"(null mode, ring transport) is below the "
+            f"(null mode, process workers) is below the "
             f"{SHARDED2_SPEEDUP_FLOOR}x floor on a {cpu_count}-CPU host"
         )
     # ISSUE 3: workers=4 beats fused 2x.

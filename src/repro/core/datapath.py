@@ -53,10 +53,6 @@ def required_layer(pipeline: Pipeline) -> int:
     return deepest
 
 
-def needs_etype(pipeline: Pipeline) -> bool:
-    return "eth_type" in pipeline.matched_fields()
-
-
 _PARSERS = {2: pp.parse_l2, 3: pp.parse_l3, 4: pp.parse}
 
 

@@ -9,7 +9,7 @@ package reimplements the pieces ESWITCH uses:
 * :mod:`repro.dpdk.hash` — a collision-free hash backing the compound hash
   template ("more memory and more time to build … fast constant time
   lookups", Section 3.1);
-* :mod:`repro.dpdk.ports` — simulated ports/rings with counters;
+* :mod:`repro.dpdk.ports` — simulated ports with counters;
 * :mod:`repro.dpdk.l2fwd` — the platform reference benchmark (the 15.7 Mpps
   port-forward ceiling of Section 4.2).
 """

@@ -8,6 +8,9 @@ Runs an identical (pipeline, traffic, flow-mod schedule) through:
                     (decomposition off): the semantics baseline compiler;
 * ``ovs``         — the OVS model (EMC → megaflow → vswitchd slow path);
 * ``shardedN``    — ShardedESwitch at workers ∈ {1, 4} (thread backend);
+* ``sharded1_process`` — ShardedESwitch, workers=1 on the process
+                    backend: burst frames crossing a real pipe into a
+                    forked worker;
 
 against the **reference interpreter** (``Pipeline.process``), asserting:
 
@@ -23,10 +26,10 @@ against the **reference interpreter** (``Pipeline.process``), asserting:
   expire identical ``(table, match, priority, reason)`` sets;
 * identical end-of-run flow counters on every logical entry;
 * bit-identical modeled cycle totals where defined: fused ↔ trampoline
-  always (fusion's contract), and sharded(workers=1) ↔ fused unless the
-  scenario force-quarantines tables (quarantine is applied to the
-  unsharded switches only, changing their compiled rungs, not their
-  semantics).
+  always (fusion's contract), and both workers=1 sharded backends ↔
+  fused unless the scenario force-quarantines tables (quarantine is
+  applied to the unsharded switches only, changing their compiled
+  rungs, not their semantics).
 
 Degraded states are part of the matrix, not excluded from it: forced
 quarantine and forced fuse-failure must be *semantically invisible*,
@@ -45,7 +48,7 @@ from repro.fuzz.scenario import Scenario
 from repro.openflow.messages import FlowModCommand
 from repro.openflow.timeouts import ExpiryManager, PipelineAdapter
 from repro.ovs import OvsSwitch
-from repro.parallel import ShardedESwitch, rings
+from repro.parallel import ShardedESwitch
 from repro.simcpu.platform import XEON_E5_2620
 from repro.simcpu.recorder import CycleMeter
 
@@ -159,11 +162,11 @@ class _ShardedBackend:
     compares_bytes = False  # the engine never mutates caller packets
 
     def __init__(self, name: str, scenario: Scenario, workers: int,
-                 config: CompileConfig, transport: str = "auto"):
+                 config: CompileConfig, backend: str = "thread"):
         self.name = name
         self.engine = ShardedESwitch(
-            scenario.build_pipeline(), workers=workers, backend="thread",
-            config=config, transport=transport,
+            scenario.build_pipeline(), workers=workers, backend=backend,
+            config=config,
         )
         self.switch = self.engine  # uniform expiry-manager target
         self.meter = CycleMeter(XEON_E5_2620)
@@ -239,13 +242,12 @@ def run_scenario(
         if n > 1 and scenario.tight_meter:
             continue  # replica-local token buckets legitimately diverge
         backends.append(_ShardedBackend(f"sharded{n}", scenario, n, base))
-    # The zero-copy transport as its own oracle: the same sharded engine
-    # with bursts crossing as packed frames over shared-memory rings —
-    # any codec bit-rot shows up as a verdict/counters/cycles divergence.
-    if rings.shared_memory_available():
-        backends.append(_ShardedBackend(
-            "sharded1_rings", scenario, 1, base, transport="ring"
-        ))
+    # The frame transport on a real process boundary: the same sharded
+    # engine with one forked worker, so codec or pipe bit-rot shows up as
+    # a verdict/counters/cycles divergence.
+    backends.append(_ShardedBackend(
+        "sharded1_process", scenario, 1, base, backend="process"
+    ))
 
     dead: set = set()
     # One ExpiryManager per backend plus one over the reference, created
@@ -380,7 +382,7 @@ def run_scenario(
 
         by_name = {b.name: b for b in backends if b.name not in dead}
         fused = by_name.get("fused")
-        for other_name in ("trampoline", "sharded1", "sharded1_rings"):
+        for other_name in ("trampoline", "sharded1", "sharded1_process"):
             other = by_name.get(other_name)
             if fused is None or other is None:
                 continue

@@ -6,7 +6,7 @@ format is stable and human-writable; the CLI (``python -m repro``)
 compiles pipelines straight from these files.
 
 Schema (all numbers accept the usual Match value spellings — ints,
-dotted quads, ``addr/prefix`` strings, MAC strings)::
+dotted quads, ``addr/prefix`` and MAC notation)::
 
     {
       "tables": [

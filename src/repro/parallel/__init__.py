@@ -13,16 +13,14 @@ per-core datapath (and of OVS's per-PMD-thread datapaths, NSDI'15).
   packets to shards, flow-sticky like a NIC's receive-side scaling,
   plus the NIC-style indirection table the engine remaps to degrade
   around a dead shard;
-* :mod:`repro.parallel.wire` — the compact picklable forms packets,
-  verdicts, and flow-counter deltas take across the shard boundary;
-* :mod:`repro.parallel.frames` — the same wire dialect struct-packed
-  into versioned binary frames (columnar, one struct call per section):
-  the zero-pickle per-burst codec;
-* :mod:`repro.parallel.rings` — persistent shared-memory SPSC ring
-  pairs the frames travel through (sequence-number cursors, batched
-  acks): the zero-syscall per-burst transport;
+* :mod:`repro.parallel.wire` — the compact forms verdicts and
+  flow-counter deltas take across the shard boundary;
+* :mod:`repro.parallel.frames` — bursts and replies struct-packed into
+  versioned binary frames (columnar, one struct call per section): the
+  zero-pickle per-burst codec, sent with ``send_bytes`` over each
+  worker's one pipe;
 * :mod:`repro.parallel.worker` — the shard worker loop (one replica,
-  one command channel, one per-core cycle meter);
+  one pipe for frames and control messages, one per-core cycle meter);
 * :mod:`repro.parallel.faults` — deterministic worker fault injection
   (kill / hang / delay at precise command occurrences), the test
   instrument behind the supervision layer;
@@ -32,7 +30,7 @@ per-core datapath (and of OVS's per-PMD-thread datapaths, NSDI'15).
   snapshot, bounded burst retry, graceful degradation).
 """
 
-from repro.parallel import frames, rings
+from repro.parallel import frames
 from repro.parallel.engine import (
     EngineHealth,
     EpochSyncError,
@@ -55,7 +53,6 @@ __all__ = [
     "WorkerDied",
     "WorkerTimeout",
     "frames",
-    "rings",
     "rss_hash",
     "shard_of",
 ]

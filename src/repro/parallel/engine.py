@@ -91,13 +91,24 @@ from repro.openflow.messages import (
 from repro.openflow.pipeline import Pipeline, Verdict
 from repro.openflow.stats import BurstStats
 from repro.packet.packet import Packet
-from repro.parallel import frames, rings
+from repro.parallel import frames
 from repro.parallel.rss import RssIndirection
-from repro.parallel.wire import EntryIndexCache, decode_verdicts, encode_packets
-from repro.parallel.worker import shard_worker_main, thread_channel_pair
+from repro.parallel.wire import EntryIndexCache, decode_verdicts
+from repro.parallel.worker import (
+    recv_message,
+    shard_worker_main,
+    thread_channel_pair,
+)
 from repro.simcpu.costs import CostBook, DEFAULT_COSTS
 from repro.simcpu.platform import Platform, XEON_E5_2620
 from repro.simcpu.recorder import Meter, NULL_METER, NullMeter
+
+
+#: Largest request frame sent while earlier bursts are still in flight.
+#: A worker blocked writing a large reply reads nothing until the engine
+#: gathers it, so a request must fit the engine's socket send buffer
+#: (64 KiB is the smallest Linux pipe and well under its socket default).
+_PIPELINED_FRAME_BYTES = 64 * 1024
 
 
 class ShardWorkerError(RuntimeError):
@@ -136,9 +147,6 @@ class EngineHealth:
     #: contained compile/fuse failures) — the control-plane half of the
     #: engine's health.
     switch_health: "SwitchHealth | None" = None
-    #: resolved burst transport: ``ring`` (shared-memory frames) or
-    #: ``pipe`` (pickled tuples over the control channel).
-    transport: str = "pipe"
 
     @property
     def degraded(self) -> bool:
@@ -160,7 +168,6 @@ class EngineHealth:
             "liveness": list(self.liveness),
             "epoch": self.epoch,
             "worker_errors": self.worker_errors,
-            "transport": self.transport,
             "switch": (
                 self.switch_health.as_dict()
                 if self.switch_health is not None
@@ -170,20 +177,18 @@ class EngineHealth:
 
 
 class _ProcessShard:
-    """One worker process plus its engine-side pipe end (and rings)."""
+    """One worker process plus its engine-side pipe end."""
 
     def __init__(self, index, blob, config, costs, platform,
-                 start_epoch=0, injector=None, generation=0, ring_pair=None):
+                 start_epoch=0, injector=None, generation=0):
         import multiprocessing as mp
 
         ctx = mp.get_context("fork") if hasattr(os, "fork") else mp.get_context()
-        self.rings = ring_pair
-        ring_names = ring_pair.names if ring_pair is not None else None
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
             target=shard_worker_main,
             args=(child_conn, blob, config, costs, platform,
-                  index, start_epoch, injector, generation, ring_names),
+                  index, start_epoch, injector, generation),
             name=f"repro-shard-{index}",
             daemon=True,
         )
@@ -193,31 +198,17 @@ class _ProcessShard:
     def poll(self, timeout: float) -> bool:
         return self.conn.poll(timeout)
 
-    def alive(self) -> bool:
-        return self.proc.is_alive()
-
-    def _destroy_rings(self) -> None:
-        # The engine owns the segments: unlink here so a stopped *or
-        # reaped* worker never leaks /dev/shm names (teardown hygiene).
-        if self.rings is not None:
-            try:
-                self.rings.destroy()
-            except Exception:  # pragma: no cover - defensive
-                pass
-            self.rings = None
-
     def stop(self) -> None:
         try:
             self.conn.send(("stop",))
-            self.conn.recv()
-        except (OSError, EOFError, BrokenPipeError):
+            recv_message(self.conn)
+        except (OSError, EOFError):
             pass
         self.conn.close()
         self.proc.join(timeout=5)
         if self.proc.is_alive():  # pragma: no cover - defensive
             self.proc.terminate()
             self.proc.join(timeout=5)
-        self._destroy_rings()
 
     def reap(self) -> None:
         """Put down a dead or unresponsive worker, no questions asked."""
@@ -230,24 +221,20 @@ class _ProcessShard:
         if self.proc.is_alive():  # pragma: no cover - defensive
             self.proc.kill()
             self.proc.join(timeout=5)
-        self._destroy_rings()
 
 
 class _ThreadShard:
     """One worker thread plus its engine-side channel end (fallback)."""
 
     def __init__(self, index, blob, config, costs, platform,
-                 start_epoch=0, injector=None, generation=0, ring_pair=None):
+                 start_epoch=0, injector=None, generation=0):
         import threading
 
-        # Threads share the address space: the worker maps the same
-        # RingPair object directly (SPSC roles touch disjoint cursors).
-        self.rings = ring_pair
         self.conn, child_conn = thread_channel_pair()
         self.proc = threading.Thread(
             target=shard_worker_main,
             args=(child_conn, blob, config, costs, platform,
-                  index, start_epoch, injector, generation, ring_pair),
+                  index, start_epoch, injector, generation),
             name=f"repro-shard-{index}",
             daemon=True,
         )
@@ -256,17 +243,6 @@ class _ThreadShard:
     def poll(self, timeout: float) -> bool:
         return self.conn.poll(timeout)
 
-    def alive(self) -> bool:
-        return self.proc.is_alive()
-
-    def _destroy_rings(self) -> None:
-        if self.rings is not None:
-            try:
-                self.rings.destroy()
-            except Exception:  # pragma: no cover - defensive
-                pass
-            self.rings = None
-
     def stop(self) -> None:
         try:
             self.conn.send(("stop",))
@@ -274,13 +250,11 @@ class _ThreadShard:
         except (OSError, EOFError):
             pass
         self.proc.join(timeout=5)
-        self._destroy_rings()
 
     def reap(self) -> None:
         # A hung thread cannot be killed; closing the channel makes its
         # next recv raise EOFError and the (daemon) thread wind down.
         self.conn.close()
-        self._destroy_rings()
 
 
 class _PendingBurst:
@@ -356,16 +330,9 @@ class ShardedESwitch:
     * ``fault_injector`` — a :class:`~repro.parallel.faults.
       FaultInjector` test hook wired into every worker.
 
-    Transport (see :mod:`repro.parallel.frames` / ``rings``):
-
-    * ``transport="auto"`` (default) puts bursts on shared-memory ring
-      pairs as packed binary frames for the process backend (falling
-      back to the pickled pipe when shared memory is unavailable) and
-      on the pipe for the thread backend; ``"ring"``/``"pipe"`` force a
-      transport (``"ring"`` raises if shared memory cannot be mapped).
-      Control traffic (mods, pings, stats, errors) always rides the
-      pipe — pickle survives only off the per-burst path.
-    * ``ring_capacity`` — bytes per ring buffer direction.
+    Bursts cross as packed binary frames (:mod:`repro.parallel.frames`)
+    over the same pipe as the control traffic (mods, pings, stats,
+    errors), so pickle survives only off the per-burst path.
     """
 
     def __init__(
@@ -377,8 +344,6 @@ class ShardedESwitch:
         costs: CostBook = DEFAULT_COSTS,
         platform: Platform = XEON_E5_2620,
         backend: str = "auto",
-        transport: str = "auto",
-        ring_capacity: int = rings.DEFAULT_CAPACITY,
         rss_seed: int = 0,
         rpc_deadline: "float | None" = 30.0,
         max_retries: int = 3,
@@ -392,8 +357,6 @@ class ShardedESwitch:
             raise ValueError("need at least one shard worker")
         if backend not in ("auto", "process", "thread"):
             raise ValueError(f"unknown backend {backend!r}")
-        if transport not in ("auto", "ring", "pipe"):
-            raise ValueError(f"unknown transport {transport!r}")
         if rpc_deadline is not None and rpc_deadline <= 0:
             raise ValueError("rpc_deadline must be positive (or None)")
         if max_retries < 0 or max_respawns < 0 or retry_backoff < 0:
@@ -434,58 +397,28 @@ class ShardedESwitch:
             if entry.counters.packets or entry.counters.bytes
         }
         self._slots: list[_ShardSlot] = []
-        self._ring_capacity = ring_capacity
         #: double-buffering state: bursts submitted but not yet collected,
         #: in submission order, plus the engine-global sequence counter
-        #: that pairs ring/pipe replies with their submissions.
+        #: that pairs replies with their submissions.
         self._inflight: "deque[_PendingBurst]" = deque()
         self._seq = 0
-        self.backend, self.transport = self._spawn(backend, transport, blob)
+        self.backend = self._spawn(backend, blob)
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
 
     def _make_shard(self, index, blob, start_epoch, generation):
-        """Spawn one shard on the resolved backend/transport combo.
+        """Spawn one shard worker on the resolved backend."""
+        return self._shard_cls(
+            index, blob, self._config, self._costs, self._platform,
+            start_epoch, self.fault_injector, generation,
+        )
 
-        Creates a fresh ring pair per worker when the transport is
-        ``ring`` — respawned replacements never reuse a dead worker's
-        segments (whose cursors are in an unknown state)."""
-        ring_pair = None
-        if self._use_rings:
-            ring_pair = rings.RingPair.create(self._ring_capacity)
-        cls = _ProcessShard if self._backend_kind == "process" else _ThreadShard
-        try:
-            return cls(index, blob, self._config, self._costs, self._platform,
-                       start_epoch, self.fault_injector, generation, ring_pair)
-        except BaseException:
-            if ring_pair is not None:
-                ring_pair.destroy()
-            raise
-
-    def _spawn(self, backend, transport, blob) -> "tuple[str, str]":
+    def _spawn(self, backend, blob) -> str:
         kinds = ["process", "thread"] if backend == "auto" else [backend]
-        combos: list[tuple[str, bool]] = []
-        for kind in kinds:
-            if transport == "ring":
-                wants = [True]
-            elif transport == "pipe":
-                wants = [False]
-            else:  # auto: rings for processes, pipe for threads
-                wants = [True, False] if kind == "process" else [False]
-            combos.extend((kind, w) for w in wants)
-        shm_ok = rings.shared_memory_available() if any(
-            w for _k, w in combos
-        ) else False
-        combos = [(k, w) for k, w in combos if not w or shm_ok]
-        if not combos:
-            raise ShardWorkerError(
-                "ring transport requested but shared memory is unavailable"
-            )
         last_error: "Exception | None" = None
-        for kind, use_rings in combos:
-            self._backend_kind = kind
-            self._use_rings = use_rings
+        for kind in kinds:
+            self._shard_cls = _ProcessShard if kind == "process" else _ThreadShard
             shards: list = []
             try:
                 for i in range(self.workers):
@@ -495,7 +428,7 @@ class ShardedESwitch:
                     if reply[0] != "ready":
                         raise ShardWorkerError(f"{reply[1]}\n{reply[2]}")
                 self._slots = [_ShardSlot(i, s) for i, s in enumerate(shards)]
-                return kind, ("ring" if use_rings else "pipe")
+                return kind
             except ShardWorkerError:
                 for shard in shards:
                     shard.reap()
@@ -553,7 +486,6 @@ class ShardedESwitch:
             epoch=self.epoch,
             worker_errors=self.worker_errors,
             switch_health=self.shadow.health(),
-            transport=self.transport,
         )
 
     def ping(self) -> dict[int, int]:
@@ -578,7 +510,11 @@ class ShardedESwitch:
         return [slot for slot in self._slots if slot.shard is not None]
 
     def _rpc_recv(self, slot: _ShardSlot):
-        """One deadline-bounded receive; raises typed supervision errors."""
+        """One deadline-bounded receive; raises typed supervision errors.
+
+        Returns a reply frame (``bytes``) or a control tuple: both share
+        the worker's one FIFO pipe.
+        """
         shard = slot.shard
         deadline = self.rpc_deadline
         if deadline is not None and not shard.poll(deadline):
@@ -586,10 +522,10 @@ class ShardedESwitch:
                 f"shard {slot.index} blew the {deadline}s RPC deadline"
             )
         try:
-            reply = shard.conn.recv()
-        except (EOFError, OSError, BrokenPipeError) as exc:
+            reply = recv_message(shard.conn)
+        except (EOFError, OSError) as exc:
             raise WorkerDied(f"shard {slot.index} died mid-RPC: {exc!r}")
-        if reply[0] == "error":
+        if isinstance(reply, tuple) and reply[0] == "error":
             # The worker is alive and reported a logic error: that is an
             # invariant violation to raise, not a fault to supervise.
             raise ShardWorkerError(f"{reply[1]}\n{reply[2]}")
@@ -640,8 +576,7 @@ class ShardedESwitch:
                 if reply[0] != "ready":
                     shard.reap()
                     raise ShardWorkerError(f"{reply[1]}\n{reply[2]}")
-            except (WorkerDied, WorkerTimeout, EOFError, OSError,
-                    rings.RingError):
+            except (WorkerDied, WorkerTimeout, EOFError, OSError):
                 # The replacement itself failed to come up: count it and
                 # spend another respawn (or fall through to degradation).
                 self.faults_detected += 1
@@ -692,6 +627,10 @@ class ShardedESwitch:
         drains any earlier handle first). Control-plane calls
         (flow-mods, pings, stats pulls) drain all in-flight bursts
         before touching the workers, preserving the epoch barrier.
+
+        A packet whose fields do not fit the frame columns (e.g.
+        ``in_port >= 2**32``) raises :class:`~repro.parallel.frames.
+        FrameError` here, before anything is sent or counted as a fault.
         """
         if self._closed:
             raise RuntimeError("ShardedESwitch is closed")
@@ -779,7 +718,12 @@ class ShardedESwitch:
             self._gather(self._inflight.popleft())
 
     def _scatter(self, p: "_PendingBurst", pending) -> None:
-        """Send one round of sub-bursts; extends ``p.active``/``p.failed``."""
+        """Send one round of sub-bursts; extends ``p.active``/``p.failed``.
+
+        Every lane's frame is packed before any is sent, so a packet the
+        frame columns cannot hold raises :class:`~repro.parallel.frames.
+        FrameError` with nothing in flight and no fault counted.
+        """
         pkts = p.pkts
         shard_for = self._rss.shard_for
         lanes: dict[int, list[int]] = {}
@@ -789,54 +733,36 @@ class ShardedESwitch:
             for i in pending:
                 lanes.setdefault(shard_for(pkts[i].data), []).append(i)
         epoch = self.epoch
+        seq0 = self._seq
+        packed = [
+            (sidx, lane, frames.request_from_packets(
+                epoch, seq0 + n, p.mode, [pkts[i] for i in lane]
+            ))
+            for n, (sidx, lane) in enumerate(lanes.items())
+        ]
+        self._seq = seq0 + len(packed)
+        if self._inflight and any(
+            len(frame) > _PIPELINED_FRAME_BYTES for _s, _l, frame in packed
+        ):
+            # A large request sent while a worker may be blocked writing
+            # an earlier reply could fill both socket buffers: gather
+            # first so the worker is reading when the frame arrives, then
+            # re-split (a fault in the gather may have remapped shards).
+            self._drain_inflight()
+            return self._scatter(p, pending)
         # All sends before any receive: the workers run their sub-bursts
         # genuinely in parallel.
-        for sidx, lane in lanes.items():
+        for n, (sidx, lane, frame) in enumerate(packed):
             slot = self._slots[sidx]
-            seq = self._seq
-            self._seq += 1
             shard = slot.shard
             try:
-                self._send_burst(slot, epoch, seq, p.mode,
-                                 [pkts[i] for i in lane])
-            except (OSError, BrokenPipeError, ValueError, rings.RingError):
+                shard.conn.send_bytes(frame)
+            except OSError:
                 self._handle_fault(slot, epoch)
                 p.failed.extend(lane)
                 continue
-            p.active.append((slot, shard, lane, seq))
+            p.active.append((slot, shard, lane, seq0 + n))
         p.gathered = False
-
-    def _send_burst(self, slot, epoch, seq, mode, lane_pkts) -> None:
-        """Ship one sub-burst over the slot's transport.
-
-        Ring path: pack a binary frame and push it — zero pickle, zero
-        syscalls. A frame the codec cannot express or that exceeds the
-        ring's safe margin degrades to the pipe for that burst only —
-        after draining the slot's in-flight lanes, so the worker never
-        sees the pipe burst ahead of an earlier ring burst.
-        """
-        shard = slot.shard
-        pair = shard.rings
-        if pair is not None:
-            frame = None
-            try:
-                frame = frames.request_from_packets(epoch, seq, mode, lane_pkts)
-            except frames.FrameError:
-                pass  # unpackable (oversized field): pipe fallback below
-            if frame is not None and pair.req.fits(len(frame)):
-                pair.req.push(frame)
-                return
-            self._drain_slot(slot)
-        shard.conn.send(
-            ("burst", epoch, mode, encode_packets(lane_pkts), seq)
-        )
-
-    def _drain_slot(self, slot) -> None:
-        """Gather until ``slot`` has no in-flight lane (ordering guard)."""
-        while self._inflight and any(
-            s is slot for s, _sh, _l, _q in self._inflight[0].active
-        ):
-            self._gather(self._inflight.popleft())
 
     def _gather(self, p: "_PendingBurst") -> None:
         """Receive every active lane of one burst; faults feed ``p.failed``."""
@@ -849,83 +775,38 @@ class ShardedESwitch:
                 p.failed.extend(lane)
                 continue
             try:
-                (shard_epoch, wire_verdicts, cycles, packets, shard_llc,
-                 counter_deltas) = self._recv_burst(slot, shard, seq)
+                rep = self._recv_burst(slot, seq)
             except (WorkerDied, WorkerTimeout):
                 self._handle_fault(slot, epoch)
                 p.failed.extend(lane)
                 continue
-            p.epochs.append(shard_epoch)
-            for i, verdict in zip(lane, decode_verdicts(wire_verdicts, cache)):
+            p.epochs.append(rep.epoch)
+            for i, verdict in zip(lane, decode_verdicts(rep.verdicts, cache)):
                 p.verdicts[i] = verdict
-            self._absorb_counters(counter_deltas)
+            self._absorb_counters(rep.deltas)
+            cycles = rep.cycles
             slot.stats.record(len(lane), cycles if cycles is not None else 0.0)
             if cycles is not None:
-                p.deltas.append((cycles, packets, shard_llc))
+                p.deltas.append((cycles, rep.packets, rep.llc))
         p.active = []
         p.gathered = True
 
-    def _recv_burst(self, slot, shard, seq):
-        """One deadline-bounded burst receive on the slot's transport.
+    def _recv_burst(self, slot, seq) -> "frames.BurstReply":
+        """One deadline-bounded burst reply, paired to ``seq``.
 
-        Returns ``(epoch, verdict_wires, cycles, packets, llc, deltas)``
-        from either a ring frame or a pipe tuple, paired to ``seq``.
-        Raises the same typed supervision errors as :meth:`_rpc_recv`;
-        a desynchronized sequence number or corrupt frame is treated as
-        a worker fault (the replica's stream can no longer be trusted).
+        Raises the same typed supervision errors as :meth:`_rpc_recv`; a
+        control tuple where a frame belongs, a desynchronized sequence
+        number, or a corrupt frame is treated as a worker fault (the
+        replica's stream can no longer be trusted).
         """
-        pair = shard.rings
-        if pair is None:
-            reply = self._rpc_recv(slot)
-            if reply[0] != "burst" or reply[7] != seq:
-                raise WorkerDied(
-                    f"shard {slot.index} desynchronized: got "
-                    f"{reply[0]!r}/seq {reply[7] if len(reply) > 7 else '?'}, "
-                    f"expected burst/seq {seq}"
-                )
-            return reply[1:7]
-        deadline = self.rpc_deadline
-        end = None if deadline is None else time.monotonic() + deadline
-        delays = (0.0, 0.0, 0.0001, 0.0005, 0.002)
-        spin = 0
-        while True:
-            try:
-                if pair.rep.readable():
-                    frame = pair.rep.pop()
-                    pair.rep.commit_reads()
-                    if frame is not None:
-                        return self._decode_rep_frame(slot, frame, seq)
-            except rings.RingError as exc:
-                raise WorkerDied(
-                    f"shard {slot.index} reply ring failed: {exc!r}"
-                )
-            # Error replies (and per-burst pipe degradation) arrive on
-            # the control pipe even under ring transport.
-            if shard.conn.poll(0):
-                reply = self._rpc_recv(slot)
-                if reply[0] != "burst" or reply[7] != seq:
-                    raise WorkerDied(
-                        f"shard {slot.index} desynchronized on the pipe: "
-                        f"got {reply[0]!r}, expected burst/seq {seq}"
-                    )
-                return reply[1:7]
-            if not shard.alive():
-                # One last look: the worker may have pushed its reply
-                # and exited between our ring check and the liveness
-                # probe (a drain race, not a death).
-                if not pair.rep.readable() and not shard.conn.poll(0):
-                    raise WorkerDied(f"shard {slot.index} died mid-burst")
-                continue
-            if end is not None and time.monotonic() > end:
-                raise WorkerTimeout(
-                    f"shard {slot.index} blew the {deadline}s RPC deadline"
-                )
-            time.sleep(delays[spin] if spin < len(delays) else delays[-1])
-            spin += 1
-
-    def _decode_rep_frame(self, slot, frame, seq):
+        reply = self._rpc_recv(slot)
+        if not isinstance(reply, bytes):
+            raise WorkerDied(
+                f"shard {slot.index} desynchronized: got {reply[0]!r}, "
+                f"expected burst/seq {seq}"
+            )
         try:
-            rep, _ = frames.unpack_reply(frame)
+            rep, _ = frames.unpack_reply(reply)
         except frames.FrameError as exc:
             raise WorkerDied(
                 f"shard {slot.index} sent a corrupt reply frame: {exc!r}"
@@ -935,8 +816,7 @@ class ShardedESwitch:
                 f"shard {slot.index} desynchronized: reply seq {rep.seq}, "
                 f"expected {seq}"
             )
-        return (rep.epoch, rep.verdicts, rep.cycles, rep.packets,
-                rep.llc, rep.deltas)
+        return rep
 
     def _absorb_counters(self, wire_deltas) -> None:
         """Fold one acked sub-burst's counter deltas into the ledger."""
@@ -994,7 +874,7 @@ class ShardedESwitch:
         for slot in self._live_slots():
             try:
                 slot.shard.conn.send(("mods", new_epoch, mods))
-            except (OSError, BrokenPipeError, ValueError):
+            except (OSError, ValueError):
                 # Died before the batch even arrived: the replacement is
                 # born from the shadow at the new epoch, nothing to ack.
                 self._handle_fault(slot, new_epoch)
@@ -1091,7 +971,7 @@ class ShardedESwitch:
             try:
                 slot.shard.conn.send(("stats",))
                 reply = self._rpc_recv(slot)
-            except (WorkerDied, WorkerTimeout, OSError, BrokenPipeError):
+            except (WorkerDied, WorkerTimeout, OSError):
                 self._handle_fault(slot, self.epoch)
                 continue
             out[slot.index] = reply[1]

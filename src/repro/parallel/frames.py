@@ -1,21 +1,20 @@
 """Packed binary frames: the shard wire dialect without pickle.
 
-PR 3's wire dialect (:mod:`repro.parallel.wire`) made the shard boundary
-*semantically* cheap — packets as ``(bytes, in_port, metadata,
-tunnel_id)`` tuples, verdict path hops as logical ``(ltid, idx)``
-positions, flow counters as deltas — but it still crossed the boundary
-as ``pickle.dumps`` of a Python object graph, once per worker per burst.
-A DPDK datapath ships *descriptors* between cores — fixed-layout arrays
-in preallocated rings — never serialized object graphs.  This module is
+The shard wire dialect (:mod:`repro.parallel.wire`) makes the shard
+boundary *semantically* cheap — verdict path hops as logical ``(ltid,
+idx)`` positions, flow counters as deltas — but pickled it would still
+cross as a Python object graph, once per worker per burst. A DPDK
+datapath ships *descriptors* between cores — fixed-layout arrays in
+preallocated queues — never serialized object graphs.  This module is
 that descriptor layout for the repro: the exact wire dialect, packed
 **columnar** (struct-of-arrays, the DPDK ``rte_mbuf`` bulk idiom) into
-flat buffers with a versioned header, written into a shared-memory ring
-(:mod:`repro.parallel.rings`) and decoded without ever touching
-``pickle`` on the per-burst path.
+flat buffers with a versioned header, sent as one ``send_bytes`` message
+over the worker's pipe and decoded without ever touching ``pickle`` on
+the per-burst path.
 
 Frame layout (version 1; little-endian, no padding)::
 
-    header     <HBBII>  magic 0x5246 ("RF") | version | msgtype+flags |
+    header     <HBBII>  magic 0x5246 (b"FR") | version | msgtype+flags |
                         payload_len | crc32 (checked iff flag 0x80)
     BURST_REQ payload (n packets):
         <QQBI>          epoch | seq | mode (0 null, 1 cycle) | n
@@ -51,9 +50,11 @@ for any short buffer, :class:`FrameCorrupt` for bad magic / counts /
 section sizes / checksum, :class:`FrameVersionMismatch` for a frame
 from a different protocol generation — never a bare ``struct.error``.
 
-Pickle's role shrinks to what the ISSUE allows: the one-time pipeline
-snapshot a worker boots from, and rare control messages (flow-mod
-broadcasts, stats pulls, error reports) that stay on the pipe.
+Pickle's role shrinks to the one-time pipeline snapshot a worker boots
+from and the rare control messages (flow-mod broadcasts, stats pulls,
+error reports) that share the pipe with the frames. The two kinds tell
+apart by their first bytes: a frame starts with the magic (``b"FR"``),
+a pickle of protocol 2 or later with ``0x80`` (:func:`is_frame`).
 """
 
 from __future__ import annotations
@@ -75,12 +76,11 @@ __all__ = [
     "VERSION",
     "BurstRequest",
     "BurstReply",
+    "is_frame",
     "request_from_packets",
-    "request_from_wires",
     "unpack_request",
     "reply_from_wires",
     "unpack_reply",
-    "unpack_frame",
 ]
 
 
@@ -100,7 +100,7 @@ class FrameVersionMismatch(FrameError):
     """A frame from a different protocol generation."""
 
 
-MAGIC = 0x5246  # "RF" little-endian
+MAGIC = 0x5246  # b"FR" little-endian
 VERSION = 1
 
 MSG_BURST_REQ = 0x01
@@ -113,6 +113,8 @@ _MODES = ("null", "cycle")
 _HEADER = struct.Struct("<HBBII")
 _REQ_HEAD = struct.Struct("<QQBI")
 _REP_HEAD = struct.Struct("<QQB3xdIQIIII")
+
+_PREFIX = struct.pack("<H", MAGIC)
 
 _GET_DATA = attrgetter("data")
 _GET_IN_PORT = attrgetter("in_port")
@@ -137,6 +139,11 @@ def _rep_cols(shape: tuple) -> struct.Struct:
         f"<{n_v}B{n_v}B{n_v}H{n_p}I"
         f"{n_h}i{n_h}i{n_h}i{n_d}i{n_d}i{n_d}Q{n_d}Q"
     )
+
+
+def is_frame(buf) -> bool:
+    """True when ``buf`` starts with the frame magic (not a pickle)."""
+    return buf[:2] == _PREFIX
 
 
 def _mode_code(mode: str) -> int:
@@ -191,19 +198,6 @@ def request_from_packets(
     )
 
 
-def request_from_wires(
-    epoch: int, seq: int, mode: str, wires: Sequence[tuple],
-    *, checksum: bool = False,
-) -> bytes:
-    """Pack wire-dialect packet tuples (``encode_packets`` output)."""
-    if not wires:
-        return _pack_request(epoch, seq, mode, (), (), (), (), checksum)
-    datas, in_ports, metadata, tunnel = zip(*wires)
-    return _pack_request(
-        epoch, seq, mode, datas, in_ports, metadata, tunnel, checksum
-    )
-
-
 class BurstRequest:
     """A decoded burst request, still columnar (struct-of-arrays)."""
 
@@ -219,10 +213,6 @@ class BurstRequest:
 
     def __len__(self) -> int:
         return len(self.datas)
-
-    def wires(self) -> list:
-        """Materialize the classic wire tuples (tests, pipe fallback)."""
-        return list(zip(self.datas, self.in_ports, self.metadata, self.tunnel))
 
     def packets(self) -> list:
         """Materialize real :class:`Packet` objects (the worker path).
@@ -246,8 +236,8 @@ class BurstRequest:
         return out
 
 
-def _check_header(buf, offset: int, want_type: "int | None" = None):
-    """Validate the frame header; returns (msgtype, payload bytes, end)."""
+def _check_header(buf, offset: int, want_type: int):
+    """Validate the frame header; returns (payload bytes, end)."""
     view = memoryview(buf)
     if len(view) - offset < _HEADER.size:
         raise FrameTruncated(
@@ -263,7 +253,7 @@ def _check_header(buf, offset: int, want_type: "int | None" = None):
     kind = mtype & _TYPE_MASK
     if kind not in (MSG_BURST_REQ, MSG_BURST_REP):
         raise FrameCorrupt(f"unknown frame type 0x{kind:02x}")
-    if want_type is not None and kind != want_type:
+    if kind != want_type:
         raise FrameCorrupt(
             f"expected frame type 0x{want_type:02x}, got 0x{kind:02x}"
         )
@@ -273,18 +263,17 @@ def _check_header(buf, offset: int, want_type: "int | None" = None):
         raise FrameTruncated(
             f"payload claims {payload_len} bytes, {len(view) - start} present"
         )
-    # One C memcpy out of the (possibly shared-memory) buffer: every
-    # later section decode then reads cheap immutable bytes, and the
-    # caller may release the ring slot as soon as unpack returns.
+    # One C memcpy of the payload: every later section decode then
+    # reads cheap immutable bytes.
     payload = bytes(view[start:end])
     if mtype & _FLAG_CRC and zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise FrameCorrupt("payload checksum mismatch")
-    return kind, payload, end
+    return payload, end
 
 
 def unpack_request(buf, offset: int = 0) -> "tuple[BurstRequest, int]":
     """Decode a request frame; returns ``(BurstRequest, end offset)``."""
-    _kind, payload, end = _check_header(buf, offset, MSG_BURST_REQ)
+    payload, end = _check_header(buf, offset, MSG_BURST_REQ)
     if len(payload) < _REQ_HEAD.size:
         raise FrameTruncated("burst request head missing")
     epoch, seq, mode_code, n = _REQ_HEAD.unpack_from(payload, 0)
@@ -376,7 +365,7 @@ class BurstReply:
 
 def unpack_reply(buf, offset: int = 0) -> "tuple[BurstReply, int]":
     """Decode a reply frame; returns ``(BurstReply, end offset)``."""
-    _kind, payload, end = _check_header(buf, offset, MSG_BURST_REP)
+    payload, end = _check_header(buf, offset, MSG_BURST_REP)
     if len(payload) < _REP_HEAD.size:
         raise FrameTruncated("burst reply head missing")
     (epoch, seq, has_cycles, cycles, packets, llc,
@@ -411,16 +400,3 @@ def unpack_reply(buf, offset: int = 0) -> "tuple[BurstReply, int]":
         list(zip(port_groups, flags, hop_groups)),
         list(zip(d_ltids, d_idxs, d_pk, d_by)),
     ), end
-
-
-def unpack_frame(buf, offset: int = 0):
-    """Decode whichever frame sits at ``buf[offset:]``.
-
-    Returns ``(obj, end)`` where ``obj`` is a :class:`BurstRequest` or
-    :class:`BurstReply` — the generic entry point for transports that
-    multiplex both directions over one buffer.
-    """
-    kind, _payload, _end = _check_header(buf, offset)
-    if kind == MSG_BURST_REQ:
-        return unpack_request(buf, offset)
-    return unpack_reply(buf, offset)

@@ -1,12 +1,12 @@
-"""Wire forms: what packets and verdicts look like crossing a shard pipe.
+"""Wire forms: what verdicts and counters look like crossing a shard pipe.
 
-:class:`~repro.packet.packet.Packet` and
-:class:`~repro.openflow.pipeline.Verdict` are runtime objects —
-verdicts in particular hold live :class:`FlowEntry` references that
-mean nothing in another process. The shard boundary therefore speaks a
-compact, picklable wire dialect:
+:class:`~repro.openflow.pipeline.Verdict` objects hold live
+:class:`FlowEntry` references that mean nothing in another process. The
+shard boundary therefore speaks a compact wire dialect, which
+:mod:`repro.parallel.frames` packs into binary frames (packets cross as
+that codec's columns of bytes, ``in_port``, ``metadata`` and
+``tunnel_id``):
 
-* a packet is ``(bytes, in_port, metadata, tunnel_id)``;
 * a verdict is ``(ports, flags, path)`` where every path hop keeps its
   table id verbatim (hop ids through decomposition-internal tables
   included — the last hop's id is what packet-ins report) and replaces
@@ -33,20 +33,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.openflow.pipeline import Verdict
-from repro.packet.packet import Packet
 
 _DROPPED = 1
 _TO_CONTROLLER = 2
 _TABLE_MISS = 4
-
-
-def encode_packets(pkts: Sequence[Packet]) -> list[tuple]:
-    return [(bytes(p.data), p.in_port, p.metadata, p.tunnel_id) for p in pkts]
-
-
-def decode_packets(wires: Sequence[tuple]) -> list[Packet]:
-    return [Packet(data, in_port, metadata, tunnel_id)
-            for data, in_port, metadata, tunnel_id in wires]
 
 
 class EntryIndexCache:
@@ -180,13 +170,3 @@ def counter_deltas(
             shipped[eid] = (c.packets, c.bytes)
             out.append((pos[0], pos[1], d_packets, d_bytes))
     return out
-
-
-def encode_verdict(verdict: Verdict, cache: EntryIndexCache) -> tuple:
-    """Scalar convenience over :func:`encode_verdicts`."""
-    return encode_verdicts([verdict], cache)[0]
-
-
-def decode_verdict(wire: tuple, cache: EntryIndexCache) -> Verdict:
-    """Scalar convenience over :func:`decode_verdicts`."""
-    return decode_verdicts([wire], cache)[0]

@@ -5,26 +5,21 @@ a pickled pipeline snapshot — shared-nothing by construction, whether
 the worker is a forked process or (fallback) a thread. The loop serves
 the engine's commands:
 
-``("burst", epoch, mode, wires, seq)``
-    Run one RSS sub-burst through the replica. ``mode`` is ``"null"``
-    (functional, :data:`NULL_METER`) or ``"cycle"`` (the worker's
-    persistent per-core :class:`CycleMeter` — private caches, exactly
-    the per-core meters :func:`repro.traffic.measure_multicore` models).
-    Replies ``("burst", epoch, verdicts, cycles, packets, llc, deltas,
-    seq)`` with the meter deltas (``cycles`` is None in null mode) and
-    the flow-counter deltas of every logical entry the burst touched
-    (see :func:`repro.parallel.wire.counter_deltas` — what makes
-    engine-side flow stats exact across worker deaths). The reply
-    echoes the worker's *applied* epoch so the engine can prove no
-    gathered burst mixed pipeline generations, and the engine's ``seq``
-    tag so a double-buffered gather can pair replies with submissions.
-
-    With the **ring transport** (:mod:`repro.parallel.rings`) the same
-    burst crosses as a packed binary frame (:mod:`repro.parallel.
-    frames`) over a shared-memory ring pair instead — zero pickle, zero
-    syscalls — and the pipe carries only control traffic. A frame too
-    large for the ring (or unencodable) degrades to the pipe tuple
-    above, per message; replies pick their channel the same way.
+**burst frame** (:mod:`repro.parallel.frames`)
+    Run one RSS sub-burst through the replica. The request frame carries
+    the engine epoch, a ``seq`` tag, the packets, and the mode:
+    ``"null"`` (functional, :data:`NULL_METER`) or ``"cycle"`` (the
+    worker's persistent per-core :class:`CycleMeter` — private caches,
+    exactly the per-core meters :func:`repro.traffic.measure_multicore`
+    models). The reply frame carries the verdicts, the meter deltas
+    (``cycles`` is None in null mode) and the flow-counter deltas of
+    every logical entry the burst touched (see
+    :func:`repro.parallel.wire.counter_deltas` — what makes engine-side
+    flow stats exact across worker deaths). The reply echoes the
+    worker's *applied* epoch so the engine can prove no gathered burst
+    mixed pipeline generations, and the engine's ``seq`` tag so a
+    double-buffered gather can pair replies with submissions. Frames
+    cross with ``send_bytes``: no pickle on the per-burst path.
 
 ``("mods", epoch, flow_mods)``
     Apply a flow-mod batch transactionally, then **stand the new
@@ -43,6 +38,9 @@ the engine's commands:
     Housekeeping; ``ping`` echoes the applied epoch (the engine's
     deadline-bounded liveness probe).
 
+Control messages are pickled tuples on the same pipe, so requests,
+replies and control traffic share one FIFO per worker;
+:func:`recv_message` tells a frame from a pickle by its first bytes.
 Any exception is caught and reported as ``("error", message, traceback)``
 — the loop keeps serving, the engine decides whether to raise.
 
@@ -60,20 +58,14 @@ from __future__ import annotations
 
 import os
 import pickle
-import time
 import traceback
 
 from repro.core.analysis import CompileConfig
 from repro.core.eswitch import ESwitch
 from repro.openflow.stats import BurstStats
-from repro.parallel import frames, rings
+from repro.parallel import frames
 from repro.parallel.faults import NO_FAULTS, WorkerKilled
-from repro.parallel.wire import (
-    EntryIndexCache,
-    counter_deltas,
-    decode_packets,
-    encode_verdicts,
-)
+from repro.parallel.wire import EntryIndexCache, counter_deltas, encode_verdicts
 from repro.simcpu.recorder import CycleMeter, NULL_METER
 
 
@@ -85,33 +77,25 @@ def _die(conn) -> None:
     os._exit(13)  # a process worker dies for real: no atexit, no flush
 
 
-def _wait_for_work(ring_pair, conn):
-    """Block until a burst frame or a pipe message is ready.
+def recv_message(conn):
+    """The next message on a shard channel: frame ``bytes`` or a control tuple.
 
-    Returns ``("frame", bytes)`` or ``("msg", obj)``; raises EOFError
-    when the pipe dies (the worker's signal to wind down). The ring is
-    always drained first — the engine guarantees it never queues a pipe
-    burst behind an outstanding ring burst, so ring-before-pipe keeps
-    sub-burst order exact.
+    A process pipe carries both as byte messages: frames go out with
+    ``send_bytes`` and start with the frame magic, control tuples go out
+    with ``send`` and are pickles (first byte ``0x80``), so one
+    ``recv_bytes`` plus a two-byte check dispatches either. A
+    :class:`ThreadChannel` hands both over by reference, as sent.
     """
-    delays = (0.0, 0.0, 0.0001, 0.0005, 0.002)
-    i = 0
-    while True:
-        frame = ring_pair.req.pop()
-        if frame is not None:
-            ring_pair.req.commit_reads()  # one ack per drained burst
-            return ("frame", frame)
-        if conn.poll(0):
-            return ("msg", conn.recv())
-        delay = delays[i] if i < len(delays) else 0.002
-        i += 1
-        if delay:
-            time.sleep(delay)
+    buf = conn.recv_bytes()
+    if isinstance(conn, ThreadChannel) or frames.is_frame(buf):
+        return buf
+    return pickle.loads(buf)
 
 
-def _run_burst(switch, meter, cache, shipped, pkts, mode):
-    """Execute one sub-burst; returns the reply body (minus epoch/seq)."""
-    if mode == "null":
+def _run_burst(switch, meter, cache, shipped, req, epoch) -> bytes:
+    """Execute one sub-burst request; returns the packed reply frame."""
+    pkts = req.packets()
+    if req.mode == "null":
         verdicts = switch.process_burst(pkts, NULL_METER)
         cycles = None
         llc = 0
@@ -121,11 +105,9 @@ def _run_burst(switch, meter, cache, shipped, pkts, mode):
         verdicts = switch.process_burst(pkts, meter)
         cycles = meter.total_cycles - cycles0
         llc = meter.cache.stats.llc_misses - llc0
-    return (
+    return frames.reply_from_wires(
+        epoch, req.seq, cycles, len(pkts), llc,
         encode_verdicts(verdicts, cache),
-        cycles,
-        len(pkts),
-        llc,
         counter_deltas(verdicts, cache, shipped),
     )
 
@@ -140,35 +122,11 @@ def shard_worker_main(
     start_epoch: int = 0,
     injector=None,
     generation: int = 0,
-    ring_names=None,
 ) -> None:
-    """Entry point of one shard worker (process target or thread body).
-
-    ``ring_names`` selects the ring transport: a ``(req, rep)`` name
-    tuple makes a process worker attach the engine's shared-memory pair
-    (untracked — the engine owns the segments); a ready
-    :class:`~repro.parallel.rings.RingPair` object is used directly
-    (thread backend, same address space). ``None`` means pipe-only.
-    """
+    """Entry point of one shard worker (process target or thread body)."""
     faults = injector.arm(index, generation) if injector is not None else NO_FAULTS
-    ring_pair = None
-    owns_mapping = False
     try:
         faults.fire("spawn", "before")
-        if ring_names is not None:
-            if isinstance(ring_names, rings.RingPair):
-                ring_pair = ring_names  # thread backend: shared object
-            else:
-                # Forked workers share the engine's resource tracker, so
-                # un-registering here would strip the engine's own claim
-                # (its unlink would then double-unregister); only spawn
-                # platforms — separate per-process trackers whose exit
-                # cleanup would unlink the engine's live segments —
-                # need the untrack workaround.
-                ring_pair = rings.attach_pair(
-                    ring_names, untrack=not hasattr(os, "fork")
-                )
-                owns_mapping = True
         pipeline = pickle.loads(pipeline_blob)
         switch = ESwitch(pipeline, config=config, costs=costs)
         switch.warm()  # replica construction includes the fused driver
@@ -192,57 +150,20 @@ def shard_worker_main(
     except Exception as exc:  # pragma: no cover - construction failures
         conn.send(("error", repr(exc), traceback.format_exc()))
         return
-
-    try:
-        _serve(conn, ring_pair, faults, switch, meter, cache, shipped, epoch)
-    finally:
-        if owns_mapping and ring_pair is not None:
-            ring_pair.close()
+    _serve(conn, faults, switch, meter, cache, shipped, epoch)
 
 
-def _send_reply(conn, ring_pair, via_ring, epoch, seq, body) -> None:
-    """Ship one burst reply, preferring the channel the request used.
-
-    A reply that will not fit its ring (or will not encode) degrades to
-    the pipe tuple — the engine's gather accepts either channel and
-    pairs by seq.
-    """
-    verdict_wires, cycles, packets, llc, deltas = body
-    if via_ring:
-        try:
-            frame = frames.reply_from_wires(
-                epoch, seq, cycles, packets, llc, verdict_wires, deltas
-            )
-            if ring_pair.rep.fits(len(frame)):
-                ring_pair.rep.push(frame)
-                return
-        except (frames.FrameError, rings.RingFull):
-            pass  # degrade this one message to the pipe
-    conn.send(
-        ("burst", epoch, verdict_wires, cycles, packets, llc, deltas, seq)
-    )
-
-
-def _serve(conn, ring_pair, faults, switch, meter, cache, shipped, epoch):
-    """The worker's command loop (both transports)."""
+def _serve(conn, faults, switch, meter, cache, shipped, epoch):
+    """The worker's command loop: one blocking receive per message."""
     while True:
-        frame = None
         try:
-            if ring_pair is not None:
-                kind, payload = _wait_for_work(ring_pair, conn)
-                if kind == "frame":
-                    frame = payload
-                    msg = None
-                else:
-                    msg = payload
-            else:
-                msg = conn.recv()
-        except (EOFError, OSError, rings.RingError):
+            msg = recv_message(conn)
+        except (EOFError, OSError):
             return
         try:
-            if frame is not None:
+            if isinstance(msg, bytes):
                 faults.fire("burst", "before")
-                req, _ = frames.unpack_request(frame)
+                req, _ = frames.unpack_request(msg)
                 if req.epoch != epoch:
                     conn.send((
                         "error",
@@ -251,30 +172,13 @@ def _serve(conn, ring_pair, faults, switch, meter, cache, shipped, epoch):
                         "",
                     ))
                     continue
-                body = _run_burst(
-                    switch, meter, cache, shipped, req.packets(), req.mode
-                )
+                reply = _run_burst(switch, meter, cache, shipped, req, epoch)
                 faults.fire("burst", "after")
-                _send_reply(conn, ring_pair, True, epoch, req.seq, body)
+                conn.send_bytes(reply)
                 continue
             cmd = msg[0]
             faults.fire(cmd, "before")
-            if cmd == "burst":
-                _, burst_epoch, mode, wires, seq = msg
-                if burst_epoch != epoch:
-                    conn.send((
-                        "error",
-                        f"epoch desync: burst tagged {burst_epoch}, "
-                        f"replica at {epoch}",
-                        "",
-                    ))
-                    continue
-                body = _run_burst(
-                    switch, meter, cache, shipped, decode_packets(wires), mode
-                )
-                faults.fire(cmd, "after")
-                _send_reply(conn, ring_pair, False, epoch, seq, body)
-            elif cmd == "mods":
+            if cmd == "mods":
                 _, new_epoch, mods = msg
                 cycles = switch.apply_flow_mods(mods)
                 # Swap in the new generation *inside* the barrier: the
@@ -341,9 +245,9 @@ class ThreadChannel:
     """A duplex, Connection-shaped channel over two queues (thread mode).
 
     Messages cross **by reference** — no pickle round-trip. That is
-    safe because the wire dialect is immutable by construction (packet
-    and verdict wires are tuples of ``bytes``/ints, acks are tuples),
-    the pipeline replica still boots from its own pickled snapshot, and
+    safe because everything sent is immutable by construction (burst
+    frames are ``bytes``, control messages are tuples), the pipeline
+    replica still boots from its own pickled snapshot, and
     the one mutable reply (the ``stats`` pull's :class:`BurstStats`) is
     copied by the worker before sending. Thread workers thus stay
     observably shared-nothing while skipping the serialization tax the
@@ -358,6 +262,10 @@ class ThreadChannel:
 
     def send(self, obj) -> None:
         self._outbox.put(obj)
+
+    #: frames cross by reference too: one queue carries both kinds, and
+    #: ``recv_bytes`` returns a frame or a control tuple exactly as sent
+    send_bytes = send
 
     def poll(self, timeout: "float | None" = None) -> bool:
         """True when a message (or EOF) is ready within ``timeout``."""
@@ -383,6 +291,8 @@ class ThreadChannel:
         if obj is None:
             raise EOFError
         return obj
+
+    recv_bytes = recv
 
     def close(self) -> None:
         self._outbox.put(None)

@@ -56,9 +56,9 @@ GATEWAY_SPEEDUP_FLOOR = 1.3
 #: gather tax means a core-starved host shows < 1x, honestly reported).
 SHARDED_SPEEDUP_FLOOR = 2.0
 
-#: The zero-copy transport bar (ISSUE 7): ``workers=2`` over shared-memory
-#: rings vs the single fused path, gateway, NullMeter mode — again only
-#: physically meaningful on a host with the cores (``cpu_count >= 2``).
+#: The frame-transport bar: ``workers=2`` process workers vs the single
+#: fused path, gateway, NullMeter mode — again only physically meaningful
+#: on a host with the cores (a point not flagged ``oversubscribed``).
 SHARDED2_SPEEDUP_FLOOR = 1.5
 
 
@@ -125,7 +125,7 @@ def _timed_run(switch, pkts: "list", mode: str, burst: int, platform: Platform):
     A switch that exposes the sharded engine's ``submit_burst``/
     ``collect`` pair is driven depth-2 pipelined: burst N+1 is scattered
     before burst N is gathered, so the workers compute while the engine
-    decodes — the double-buffering half of the zero-copy transport.
+    decodes — the double-buffering half of the frame transport.
     Verdict order and metering are unchanged (collect is FIFO).
     """
     meter = NULL_METER if mode == "null" else CycleMeter(platform)
@@ -162,7 +162,6 @@ def run_wallclock(
     platform: Platform = XEON_E5_2620,
     cores: Sequence[int] = (),
     control_faults: bool = False,
-    transport: str = "auto",
     traffic_flows: "int | None" = None,
 ) -> dict:
     """The full sweep; returns the ``BENCH_wallclock.json`` document.
@@ -252,7 +251,7 @@ def run_wallclock(
     if cores:
         multicore = _run_multicore(
             cases, builders, cores, n_packets, burst, repeats, warmup,
-            speedups, transport,
+            speedups,
         )
     control_plane: list[dict] = []
     if control_faults:
@@ -270,7 +269,6 @@ def run_wallclock(
             "platform": platform.name,
             "cpu_count": os.cpu_count(),
             "cores_axis": list(cores),
-            "transport": transport,
             "note": (
                 "wall_pps is simulator wall-clock throughput (real pkts/sec "
                 "of the Python datapath); modeled_pps is the cycle model's "
@@ -376,19 +374,17 @@ def _run_multicore(
     repeats: int,
     warmup: int,
     speedups: dict,
-    transport: str = "auto",
 ) -> list[dict]:
     """The real-parallel scaling sweep (the ``cores`` axis).
 
     Per case: one single-process fused baseline plus one
     :class:`ShardedESwitch` per worker count, every engine fed scatter
     bursts of ``burst * workers`` so each shard sees roughly ``burst``
-    packets per sub-burst (an N-queue NIC polls N rings of the same
-    depth, not one ring split N ways). Repeats interleave round-robin
+    packets per sub-burst (an N-queue NIC polls N queues of the same
+    depth, not one queue split N ways). Repeats interleave round-robin
     like the main sweep; engines are torn down afterwards.
 
-    Every sharded point records its resolved ``transport`` and an
-    ``oversubscribed`` flag — True when the host has fewer hardware
+    Every sharded point records an ``oversubscribed`` flag — True when the host has fewer hardware
     cores than the engine needs (N workers plus the scatter/gather
     loop), i.e. when the point *cannot* show real scaling and must not
     be mixed into cross-host trajectory comparisons.
@@ -413,15 +409,12 @@ def _run_multicore(
                 )
             )
             for workers in cores:
-                engine = ShardedESwitch(
-                    builders[case]()[0], workers=workers, transport=transport
-                )
+                engine = ShardedESwitch(builders[case]()[0], workers=workers)
                 engines.append(engine)
                 combos.append(
                     (
                         {"case": case, "variant": f"sharded{workers}",
                          "workers": workers, "backend": engine.backend,
-                         "transport": engine.transport,
                          "oversubscribed": cpu_count < workers + 1},
                         engine,
                         burst * workers,

@@ -1,34 +1,44 @@
-"""The transport contract: zero pickle per burst, parity across wires.
+"""The transport contract: zero pickle per burst, parity with one switch.
 
-ISSUE 7's acceptance bar, as executable checks:
+Bursts cross the shard boundary as packed binary frames over each
+worker's one pipe, sharing it with the pickled control messages. As
+executable checks:
 
-* with ring transport, a storm of bursts crosses the shard boundary
-  with **zero** pickle calls on the datapath (pickle remains only for
-  the one-time snapshot at spawn and rare control messages);
-* ring and pipe transports are bit-identical in verdicts, counters,
-  and modeled cycles — the codec is a re-encoding, not a re-semantics;
+* a storm of bursts crosses the shard boundary with **zero** pickle
+  calls on the datapath, on both backends (pickle remains only for the
+  one-time snapshot at spawn and rare control messages);
+* every backend and worker count matches a sequential :class:`ESwitch`
+  in verdicts, flow counters, and burst telemetry — including a
+  two-process run of mixed 60–3000 B packets with a flow-mod batch
+  mid-stream, where the workers and the engine really race;
+* a packet the frame columns cannot hold is rejected with a typed
+  :class:`FrameError` before anything is sent — not mistaken for a
+  dead worker;
 * the double-buffered path (``submit_burst``/``collect``) returns
-  exactly what the sequential path returns, in order;
+  exactly what the sequential path returns, in order, and large
+  pipelined bursts cannot deadlock the pipe;
 * the thread backend's by-reference channel is unobservable: caller
-  packets are never mutated, replies never alias worker state.
+  packets are never mutated, replies never alias worker state;
+* closing or respawning never leaks worker processes.
 """
 
+import multiprocessing
+import os
 import pickle
+import random
 
 import pytest
 
 from repro.core import ESwitch
-from repro.parallel import ShardedESwitch, rings
+from repro.openflow.actions import Output
+from repro.openflow.instructions import ApplyActions
+from repro.openflow.messages import FlowMod, FlowModCommand
+from repro.parallel import FaultInjector, FaultSpec, ShardedESwitch, frames
 from repro.simcpu.platform import XEON_E5_2620
 from repro.simcpu.recorder import CycleMeter
 from repro.usecases import gateway
 
-from test_sharded import add_mod, summarize
-
-needs_shm = pytest.mark.skipif(
-    not rings.shared_memory_available(),
-    reason="multiprocessing.shared_memory unavailable",
-)
+from test_sharded import summarize
 
 
 def scenario():
@@ -39,6 +49,42 @@ def scenario():
 
 def bursts_of(pkts, size=16):
     return [pkts[i:i + size] for i in range(0, len(pkts), size)]
+
+
+def mixed_sizes(pkts, seed=7):
+    """Pad each packet with random payload to a random 60–3000 B size."""
+    rng = random.Random(seed)
+    out = []
+    for pkt in pkts:
+        pkt = pkt.copy()
+        pad = max(0, rng.randint(60, 3000) - len(pkt.data))
+        pkt.data += rng.randbytes(pad)
+        out.append(pkt)
+    return out
+
+
+def route_batch(pipeline):
+    """Withdraw one FIB route and re-point another: changes some verdicts."""
+    routes = pipeline.get_or_create(110).entries
+    return [
+        FlowMod(FlowModCommand.DELETE, 110, routes[0].match,
+                priority=routes[0].priority, strict=True),
+        FlowMod(FlowModCommand.ADD, 110, routes[1].match,
+                priority=routes[1].priority,
+                instructions=(ApplyActions([Output(9)]),)),
+    ]
+
+
+def flow_counters(pipeline):
+    return {
+        (t.table_id, i): (e.counters.packets, e.counters.bytes)
+        for t in pipeline for i, e in enumerate(t.entries)
+    }
+
+
+def shard_processes():
+    return [p for p in multiprocessing.active_children()
+            if p.name.startswith("repro-shard-")]
 
 
 class _PickleTap:
@@ -71,16 +117,13 @@ class _PickleTap:
         )
 
 
-@needs_shm
 class TestZeroPickleDatapath:
     def test_burst_storm_never_pickles(self, monkeypatch):
-        """Thread backend + ring transport puts both halves of the
-        conversation in this process: if either the scatter or the
-        gather side touched pickle, the tap would see it."""
+        """The thread backend puts both halves of the conversation in
+        this process: if either the scatter or the gather side touched
+        pickle, the tap would see it."""
         pipeline, pkts = scenario()
-        with ShardedESwitch(pipeline, workers=2, backend="thread",
-                            transport="ring") as eng:
-            assert eng.transport == "ring"
+        with ShardedESwitch(pipeline, workers=2, backend="thread") as eng:
             eng.process_burst([p.copy() for p in pkts[:16]])  # warm lanes
             tap = _PickleTap(monkeypatch)
             for burst in bursts_of(pkts):
@@ -89,24 +132,11 @@ class TestZeroPickleDatapath:
                 f"{tap.calls} pickle call(s) on the per-burst datapath"
             )
 
-    def test_pipe_transport_does_pickle(self, monkeypatch):
-        """The tap itself works: the process+pipe wire visibly pickles
-        (engine side of every burst), so zero on rings is meaningful."""
-        pipeline, pkts = scenario()
-        with ShardedESwitch(pipeline, workers=2, backend="process",
-                            transport="pipe") as eng:
-            eng.process_burst([p.copy() for p in pkts[:16]])
-            tap = _PickleTap(monkeypatch)
-            eng.process_burst([p.copy() for p in pkts[:16]])
-            assert tap.calls > 0
-
     def test_process_engine_side_never_pickles(self, monkeypatch):
-        """Process backend: the engine half of the ring conversation
+        """Process backend: the engine half of the pipe conversation
         (this process) stays pickle-free per burst too."""
         pipeline, pkts = scenario()
-        with ShardedESwitch(pipeline, workers=2, backend="process",
-                            transport="ring") as eng:
-            assert eng.transport == "ring"
+        with ShardedESwitch(pipeline, workers=2, backend="process") as eng:
             eng.process_burst([p.copy() for p in pkts[:16]])
             tap = _PickleTap(monkeypatch)
             for burst in bursts_of(pkts):
@@ -115,58 +145,92 @@ class TestZeroPickleDatapath:
 
 
 class TestTransportParity:
-    @needs_shm
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_ring_equals_pipe(self, backend):
+    @pytest.mark.parametrize("backend,workers,mixed", [
+        pytest.param("thread", 2, False, id="thread-2"),
+        pytest.param("process", 2, False, id="process-2"),
+        pytest.param("process", 1, False, id="process-1"),
+        pytest.param("process", 2, True, id="process-2-mixed-race"),
+    ])
+    def test_matches_sequential(self, backend, workers, mixed):
+        """Depth-2 pipelined bursts with a flow-mod batch mid-stream equal
+        a sequential switch. The mixed case runs two unpinned worker
+        processes on 60–3000 B packets: frames of every size cross the
+        pipes while both workers and the engine run at once."""
+        if mixed and (os.cpu_count() or 1) < 2:
+            pytest.skip("needs >= 2 CPUs to race")
         pipeline, pkts = scenario()
-        results = {}
-        for transport in ("ring", "pipe"):
-            eng = ShardedESwitch(
-                pickle.loads(pickle.dumps(pipeline)), workers=2,
-                backend=backend, transport=transport,
-            )
-            try:
-                assert eng.transport == transport
-                meter = CycleMeter(XEON_E5_2620)
-                sums = []
-                for burst in bursts_of(pkts):
-                    verdicts = eng.process_burst(
-                        [p.copy() for p in burst], meter
-                    )
-                    sums.append(summarize(verdicts, eng.pipeline))
-                add_mod(eng)
+        if mixed:
+            pkts = mixed_sizes([pkts[i % len(pkts)] for i in range(384)])
+        seq = ESwitch(pickle.loads(pickle.dumps(pipeline)))
+        sm, em = CycleMeter(XEON_E5_2620), CycleMeter(XEON_E5_2620)
+        batch = route_batch(pipeline)
+        phases = []
+        with ShardedESwitch(pipeline, workers=workers, backend=backend) as eng:
+            assert eng.backend == backend
+            for phase in range(2):
+                if phase:
+                    seq.apply_flow_mods(batch)
+                    eng.apply_flow_mods(batch)
+                want, handles = [], []
                 for burst in bursts_of(pkts, 24):
-                    verdicts = eng.process_burst(
-                        [p.copy() for p in burst], meter
-                    )
-                    sums.append(summarize(verdicts, eng.pipeline))
-                eng.sync_flow_stats()
-                counts = {
-                    (t.table_id, i): (e.counters.packets, e.counters.bytes)
-                    for t in eng.pipeline for i, e in enumerate(t.entries)
-                }
-                results[transport] = (sums, counts, meter.total_cycles)
-            finally:
-                eng.close()
-        assert results["ring"] == results["pipe"]
+                    want.append(summarize(
+                        seq.process_burst([p.copy() for p in burst], sm),
+                        seq.pipeline,
+                    ))
+                    handles.append(eng.submit_burst(
+                        [p.copy() for p in burst], em
+                    ))
+                    if len(handles) > 1:  # keep two in flight
+                        eng.collect(handles[-2])
+                got = [summarize(eng.collect(h), eng.pipeline) for h in handles]
+                assert got == want
+                phases.append(got)
+                assert eng.last_gather_epochs == (phase,) * len(
+                    eng.last_gather_epochs
+                )
+            assert phases[0] != phases[1], "the batch must move some verdicts"
+            eng.sync_flow_stats()
+            assert flow_counters(eng.pipeline) == flow_counters(seq.pipeline)
+            merged, ref = eng.merged_burst_stats(), seq.burst_stats
+            assert merged.packets == ref.packets
+            assert (eng.burst_stats.bursts, eng.burst_stats.histogram) == (
+                ref.bursts, ref.histogram
+            )
+            if workers == 1:  # one replica: telemetry and cycles bit-exact
+                assert (merged.bursts, merged.histogram, merged.cycles) == (
+                    ref.bursts, ref.histogram, ref.cycles
+                )
+                assert em.total_cycles == sm.total_cycles
+            assert eng.health().faults_detected == 0
 
-    @needs_shm
-    def test_workers1_ring_matches_sequential(self):
+
+class TestUnencodablePacket:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_frame_error_is_caller_error_not_fault(self, backend):
+        """An in_port past the u32 frame column is the caller's error:
+        typed FrameError from submit_burst, nothing in flight, no fault
+        counted, and the engine keeps serving."""
         pipeline, pkts = scenario()
         seq = ESwitch(pickle.loads(pickle.dumps(pipeline)))
-        sm = CycleMeter(XEON_E5_2620)
-        em = CycleMeter(XEON_E5_2620)
-        with ShardedESwitch(pipeline, workers=1, backend="process",
-                            transport="ring") as eng:
-            for burst in bursts_of(pkts):
-                sv = seq.process_burst([p.copy() for p in burst], sm)
-                ev = eng.process_burst([p.copy() for p in burst], em)
-                assert summarize(ev, eng.pipeline) == summarize(sv, seq.pipeline)
-            assert em.total_cycles == sm.total_cycles  # bit-exact, Fraction
+        with ShardedESwitch(pipeline, workers=2, backend=backend) as eng:
+            bad = [p.copy() for p in pkts[:16]]
+            bad[5].in_port = 2**32
+            with pytest.raises(frames.FrameError):
+                eng.submit_burst(bad)
+            with pytest.raises(frames.FrameError):
+                eng.process_burst(bad)
+            health = eng.health()
+            assert health.faults_detected == 0
+            assert health.respawns == 0 and health.retries == 0
+            assert eng.merged_burst_stats().packets == 0
+            burst = pkts[16:32]
+            got = eng.process_burst([p.copy() for p in burst])
+            want = seq.process_burst([p.copy() for p in burst])
+            assert summarize(got, eng.pipeline) == summarize(want, seq.pipeline)
+            assert eng.health().faults_detected == 0
 
 
 class TestDoubleBuffer:
-    @needs_shm
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_submit_collect_matches_sequential(self, backend):
         """Depth-2 pipelining (submit N+1 before collecting N) returns
@@ -177,8 +241,7 @@ class TestDoubleBuffer:
             summarize(seq.process_burst([p.copy() for p in b]), seq.pipeline)
             for b in bursts_of(pkts)
         ]
-        with ShardedESwitch(pipeline, workers=2, backend=backend,
-                            transport="ring") as eng:
+        with ShardedESwitch(pipeline, workers=2, backend=backend) as eng:
             handles = []
             got = []
             for burst in bursts_of(pkts):
@@ -192,18 +255,11 @@ class TestDoubleBuffer:
                 got.append(summarize(eng.collect(handles.pop(0)), eng.pipeline))
             assert got == want
             eng.sync_flow_stats()
-        assert (
-            {(t.table_id, i): (e.counters.packets, e.counters.bytes)
-             for t in eng.pipeline for i, e in enumerate(t.entries)}
-            == {(t.table_id, i): (e.counters.packets, e.counters.bytes)
-                for t in seq.pipeline for i, e in enumerate(t.entries)}
-        )
+        assert flow_counters(eng.pipeline) == flow_counters(seq.pipeline)
 
-    @needs_shm
     def test_collect_is_idempotent_and_out_of_order(self):
         pipeline, pkts = scenario()
-        with ShardedESwitch(pipeline, workers=2, backend="thread",
-                            transport="ring") as eng:
+        with ShardedESwitch(pipeline, workers=2, backend="thread") as eng:
             h1 = eng.submit_burst([p.copy() for p in pkts[:16]])
             h2 = eng.submit_burst([p.copy() for p in pkts[16:32]])
             v2 = eng.collect(h2)      # out of order: forces FIFO drain of h1
@@ -212,15 +268,29 @@ class TestDoubleBuffer:
             assert eng.collect(h2) is v2
             assert len(v1) == 16 and len(v2) == 16
 
+    def test_large_pipelined_bursts_do_not_deadlock(self):
+        """Two in-flight bursts whose request and reply frames both
+        outgrow the socket buffers: the worker blocks writing reply 1,
+        so request 2 must wait for the gather instead of blocking the
+        engine on a write nobody reads."""
+        pipeline, pkts = scenario()
+        big = [pkts[i % len(pkts)] for i in range(6000)]
+        with ShardedESwitch(pipeline, workers=1, backend="process",
+                            rpc_deadline=60) as eng:
+            h1 = eng.submit_burst([p.copy() for p in big])
+            h2 = eng.submit_burst([p.copy() for p in big])
+            v1, v2 = eng.collect(h1), eng.collect(h2)
+            assert summarize(v1, eng.pipeline) == summarize(v2, eng.pipeline)
+            assert eng.health().faults_detected == 0
+
 
 class TestThreadByReference:
     def test_caller_packets_never_mutated(self):
-        """The thread channel hands packet objects across by reference;
-        the worker runs them through replicas that rewrite headers — the
+        """The thread channel hands frames across by reference; the
+        worker runs them through replicas that rewrite headers — the
         caller's own packets must come back byte-identical anyway."""
         pipeline, pkts = scenario()
-        with ShardedESwitch(pipeline, workers=2, backend="thread",
-                            transport="pipe") as eng:
+        with ShardedESwitch(pipeline, workers=2, backend="thread") as eng:
             originals = [bytes(p.data) for p in pkts]
             for burst in bursts_of(pkts):
                 eng.process_burst(burst)   # no defensive copies by caller
@@ -247,3 +317,43 @@ class TestThreadByReference:
             finally:
                 eng.close()
         assert results["thread"] == results["process"]
+
+
+class TestTeardownHygiene:
+    def test_close_reaps_every_worker(self):
+        pipeline, pkts = scenario()
+        eng = ShardedESwitch(pipeline, workers=2, backend="process")
+        procs = [slot.shard.proc for slot in eng._slots]
+        assert all(p.is_alive() for p in procs)
+        eng.process_burst([p.copy() for p in pkts])
+        eng.close()
+        assert not any(p.is_alive() for p in procs)
+        assert not any(p in shard_processes() for p in procs)
+
+    def test_respawn_does_not_accumulate_workers(self):
+        """Kill a worker repeatedly: each respawn reaps the dead
+        generation, so the live worker count never grows."""
+        pipeline, pkts = scenario()
+        seq = ESwitch(pickle.loads(pickle.dumps(pipeline)))
+        inj = FaultInjector(
+            FaultSpec(shard=0, cmd="burst", when="before", generation=0),
+            FaultSpec(shard=0, cmd="burst", when="before", generation=1),
+        )
+        before = set(shard_processes())
+        eng = ShardedESwitch(pipeline, workers=2, backend="process",
+                             fault_injector=inj, retry_backoff=0.001)
+        try:
+            for i in range(4):
+                burst = [p.copy() for p in pkts[i * 12:(i + 1) * 12]]
+                want = summarize(
+                    seq.process_burst([p.copy() for p in burst]),
+                    seq.pipeline,
+                )
+                got = summarize(eng.process_burst(burst), eng.pipeline)
+                assert got == want
+                assert len(set(shard_processes()) - before) == 2
+            assert eng.health().respawns == 2
+            assert not eng.health().degraded
+        finally:
+            eng.close()
+        assert set(shard_processes()) <= before
