@@ -176,12 +176,26 @@ class CompiledDatapath:
             # (FuseError) or an unexpected codegen bug — degrades to the
             # trampoline, which is always correct. The failure is recorded
             # for health reporting and retried only on the next generation.
-            self._fused = None
-            self._fuse_failed_gen = generation
-            self.fuse_failures += 1
-            self.last_fuse_error = f"{type(exc).__name__}: {exc}"
+            self.force_fuse_failure(f"{type(exc).__name__}: {exc}")
             return None
         self._fused = fused
+        return fused
+
+    def _fused_metered(self):
+        """The fused driver with its metered variant loaded, or None.
+
+        The metered variant compiles on the first metered packet of a
+        generation; a failure to load it is contained exactly like a
+        fusion failure.
+        """
+        fused = self._fused_fresh()
+        if fused is None or fused.process is not None:
+            return fused
+        try:
+            fused.load_metered()
+        except Exception as exc:
+            self.force_fuse_failure(f"{type(exc).__name__}: {exc}")
+            return None
         return fused
 
     def force_fuse_failure(self, reason: str = "forced degradation") -> None:
@@ -200,9 +214,10 @@ class CompiledDatapath:
     # -- the fast path -----------------------------------------------------------
 
     def process(self, pkt: Packet, meter: Meter = NULL_METER) -> Verdict:
-        fused = self._fused_fresh()
+        null = meter is NULL_METER
+        fused = self._fused_fresh() if null else self._fused_metered()
         if fused is not None:
-            if meter is NULL_METER:
+            if null:
                 return fused.process_null(pkt)
             return fused.process(pkt, meter)
         costs = self.costs
@@ -242,9 +257,10 @@ class CompiledDatapath:
         """
         if not pkts:
             return []
-        fused = self._fused_fresh()
+        null = meter is NULL_METER
+        fused = self._fused_fresh() if null else self._fused_metered()
         if fused is not None:
-            if meter is NULL_METER:
+            if null:
                 verdicts, resume = fused.burst_null(pkts, on_verdict)
             else:
                 verdicts, resume = fused.burst(pkts, meter, on_verdict)

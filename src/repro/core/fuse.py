@@ -17,8 +17,18 @@ per-table generated sources into **one** ``compile()``\\ d driver:
   inlined** where the emitter allows (direct, hash, LPM, range) and a
   closure-bound direct call otherwise (linked list, whose generated body
   returns from inside a loop);
-* parser dispatch, ethertype extraction, the first-table id, and every
-  cost-book constant are baked in as literals;
+* the **parser template** for the datapath's parser layer is emitted
+  inline, writing straight into the locals the table bodies read, with
+  the header constants as literals (Section 3.1);
+* the **action templates** run inline: each outcome carries its
+  apply-actions as an interned ``(opcode, arg)`` op tuple
+  (:func:`~repro.core.outcome.action_ops`), and the driver emits a
+  branch only for the opcodes its enumerated outcomes use. Any other
+  action runs through one generic op that calls ``Action.apply`` on a
+  :class:`~repro.packet.parser.ParsedPacket` rebuilt from the locals.
+  Ops that change the frame's layout share one inline reparse site;
+* the first-table id and every cost-book constant are baked in as
+  literals;
 * every ``m.charge``/``m.touch`` atom of the trampoline path is preserved
   **literally**, in the same order, so modeled cycles stay bit-identical
   to the unfused pipeline — fusion buys real wall-clock, not model drift;
@@ -38,13 +48,27 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.analysis import TemplateKind
-from repro.core.outcome import Outcome
+from repro.core.outcome import (
+    OP_DEC_TTL,
+    OP_GENERIC,
+    OP_OUTPUT,
+    OP_POP_VLAN,
+    OP_PUSH_VLAN,
+    OP_SET_L2,
+    OP_SET_L3,
+    OP_SET_L4,
+    Outcome,
+)
 from repro.openflow.actions import Output
 from repro.openflow.fields import field_by_name
 from repro.openflow.pipeline import MAX_TABLE_HOPS, PipelineError, Verdict
+from repro.packet import headers as hdr
+from repro.packet import parser as pp
+from repro.packet.parser import ParsedPacket
 from repro.simcpu.recorder import NULL_METER
 
 if TYPE_CHECKING:
@@ -67,30 +91,50 @@ INLINABLE = frozenset(
     {TemplateKind.DIRECT, TemplateKind.HASH, TemplateKind.LPM, TemplateKind.RANGE}
 )
 
+_is_outcome = Outcome.__instancecheck__
+
 _IDENT = re.compile(r"\b[A-Za-z_][A-Za-z0-9_]*\b")
 _RETURN = re.compile(r"^(\s*)return\s+(.+)$")
 
 
 @dataclass
 class FusedPipeline:
-    """One datapath generation's fused drivers."""
+    """One datapath generation's fused drivers.
+
+    The NullMeter variant is compiled at fuse time. The metered variant's
+    source is emitted with it but compiled on first metered use
+    (:meth:`load_metered`): functional-mode traffic, which re-fuses after
+    every update, never pays for the second compile.
+    """
 
     generation: int
+    #: the full generated text, metered variant first (inspection only).
     source: str
     namespace: dict
     table_ids: tuple[int, ...]
     inlined_ids: tuple[int, ...]
-    #: ``(pkt, meter) -> Verdict`` — metered scalar driver.
-    process: Callable
     #: ``(pkt) -> Verdict`` — NullMeter scalar driver (atoms elided).
     process_null: Callable
+    #: ``(pkts, on_verdict) -> (verdicts, resume)`` — NullMeter variant.
+    burst_null: Callable
+    #: the metered variant's source, loaded by :meth:`load_metered`.
+    metered_source: str
+    #: ``(pkt, meter) -> Verdict`` — metered scalar driver; None until
+    #: :meth:`load_metered` ran.
+    process: "Callable | None" = None
     #: ``(pkts, meter, on_verdict) -> (verdicts, resume)`` where ``resume``
     #: is -1 when the whole burst ran fused, else the index of the first
     #: unprocessed packet (state changed under us: the caller finishes the
-    #: burst on the trampoline, which re-reads the live datapath).
-    burst: Callable
-    #: ``(pkts, on_verdict) -> (verdicts, resume)`` — NullMeter variant.
-    burst_null: Callable
+    #: burst on the trampoline, which re-reads the live datapath). None
+    #: until :meth:`load_metered` ran.
+    burst: "Callable | None" = None
+
+    def load_metered(self) -> None:
+        """Compile the metered variant (raises :class:`FuseError`)."""
+        _load(self.metered_source, f"<eswitch:fused-metered:gen{self.generation}>",
+              self.namespace)
+        self.process = self.namespace["_process"]
+        self.burst = self.namespace["_burst"]
 
     def is_current(self, datapath: "CompiledDatapath") -> bool:
         """Whether this driver still serves the datapath's generation.
@@ -119,20 +163,20 @@ def _table_outcomes(compiled) -> "list[Outcome] | None":
         return None
     found: list[Outcome] = []
 
-    def visit(value: object, depth: int = 0) -> None:
-        if isinstance(value, Outcome):
-            found.append(value)
-        elif depth < 2 and isinstance(value, (list, tuple)):
-            for item in value:
-                visit(item, depth + 1)
+    def visit(values, depth: int) -> None:
+        # Outcome lists run to 10K entries (the LPM ``_OUT``) and every
+        # re-fuse re-reads them: filter them in C, recurse on the rest.
+        found.extend(filter(_is_outcome, values))
+        if depth < 2:
+            for value in filterfalse(_is_outcome, values):
+                if isinstance(value, (list, tuple)):
+                    visit(value, depth + 1)
 
-    for value in namespace.values():
-        visit(value)
-    visit(getattr(compiled, "miss", None))
+    visit(list(namespace.values()), 0)
+    visit((getattr(compiled, "miss", None),), 0)
     store = getattr(compiled, "hash_store", None)
     if store is not None:
-        for value in store._items.values():
-            visit(value)
+        visit(list(store._items.values()), 0)
     return found
 
 
@@ -147,8 +191,9 @@ def _pipeline_facts(dp: "CompiledDatapath") -> "tuple[bool, dict | None]":
       cycles, which a DAG cannot have);
     * ``flags`` — which driver machinery any outcome actually needs
       (``write`` action sets, ``meta``\\ data writes, flow ``meter``
-      checks); the emitter elides what no outcome can trigger — the
-      specialization move of the paper, applied to our own driver.
+      checks, and the set of action-template ``ops``); the emitter
+      elides what no outcome can trigger — the specialization move of
+      the paper, applied to our own driver.
 
     Any table whose outcomes cannot be enumerated makes both answers
     conservative: ``(False, None)`` keeps the fully generic driver.
@@ -178,12 +223,18 @@ def _pipeline_facts(dp: "CompiledDatapath") -> "tuple[bool, dict | None]":
 
     acyclic = all(state.get(tid) == 2 or dfs(tid) for tid in edges)
     everything = [o for outcomes in tables.values() for o in outcomes]
+    # Op tuples are interned, so a set of them is small.
+    try:
+        op_tuples = {o.ops for o in everything}
+    except TypeError:  # an unhashable user action: dedupe by identity
+        op_tuples = {id(o.ops): o.ops for o in everything}.values()
     flags = {
         # clear_actions without any write_actions anywhere is a no-op on
         # an always-empty action set, so "write" alone gates the machinery.
         "write": any(o.write_actions for o in everything),
         "meta": any(o.metadata_write is not None for o in everything),
         "meter": any(o.meter is not None for o in everything),
+        "ops": {op for ops in op_tuples for op, _arg in ops},
     }
     return acyclic, flags
 
@@ -307,17 +358,173 @@ def _emit_dispatch(dp: "CompiledDatapath", namespace: dict, null: bool) -> tuple
     return lines, tuple(inlined)
 
 
-def _etype_lines(dp: "CompiledDatapath", indent: str) -> list[str]:
-    """Ethertype extraction, specialized when the extractor is the stock one.
+def _parser_lines(layer: int, et: str) -> list[str]:
+    """The parser template for ``layer``, inline (Section 3.1).
 
-    The L2 parser already resolves the effective (post-VLAN) ethertype and
-    caches it on the view (:attr:`ParsedPacket.eth_type`, maintained to
-    equal ``_x_eth_type(view) or 0``), so the stock extraction collapses
-    to one attribute load. A non-standard extractor keeps the call.
+    Writes the driver locals ``data``, ``dlen``, ``proto``, ``l3``,
+    ``l4``, ``nxt`` and the ethertype local ``et`` to exactly the values
+    :func:`~repro.packet.parser.parse_l2`/``parse_l3``/``parse`` leave in
+    a :class:`ParsedPacket`'s slots (``proto``, ``l3``, ``l4``,
+    ``l4_proto``, ``eth_type``), with the header constants as literals.
+    Only the IPv6 extension-header walk stays a call, and only for
+    packets that carry extension headers.
     """
-    if dp._extract_etype is not field_by_name("eth_type").extract:
-        return [f"{indent}etype = _ext(view) or 0"]
-    return [f"{indent}etype = view.eth_type"]
+    lines = [
+        "data = pkt.data",
+        "dlen = len(data)",
+        "l4 = -1",
+        "nxt = -1",
+        f"if dlen < {hdr.ETH_HEADER_LEN}:",
+        "    proto = 0",
+        "    l3 = -1",
+        f"    {et} = 0",
+        "else:",
+        f"    proto = {pp.PROTO_ETH}",
+        f"    {et} = (data[12] << 8) | data[13]",
+        f"    l3 = {hdr.ETH_HEADER_LEN}",
+        f"    while {et} == {hdr.ETH_TYPE_VLAN:#x}:",
+        f"        if dlen < l3 + {hdr.VLAN_TAG_LEN}:",
+        "            l3 = -1",
+        "            break",
+        f"        proto |= {pp.PROTO_VLAN}",
+        f"        {et} = (data[l3 + 2] << 8) | data[l3 + 3]",
+        f"        l3 += {hdr.VLAN_TAG_LEN}",
+    ]
+    if layer < 3:
+        return lines
+    ipv4_l4 = [
+        "if (data[l3 + 6] & 0x1F) or data[l3 + 7]:",
+        "    l4 = -1",  # a non-first fragment carries no L4 header
+        f"elif nxt == {hdr.IP_PROTO_TCP} and dlen >= l4 + {hdr.TCP_MIN_HEADER_LEN}:",
+        f"    proto |= {pp.PROTO_TCP:#x}",
+        f"elif nxt == {hdr.IP_PROTO_UDP} and dlen >= l4 + {hdr.UDP_HEADER_LEN}:",
+        f"    proto |= {pp.PROTO_UDP:#x}",
+        f"elif nxt == {hdr.IP_PROTO_ICMP} and dlen >= l4 + {hdr.ICMP_HEADER_LEN}:",
+        f"    proto |= {pp.PROTO_ICMP:#x}",
+        "else:",
+        "    l4 = -1",
+    ]
+    ipv6_l4 = [
+        "if nxt in _V6EXT:",
+        "    l4, nxt = _walk6(data, l3)",
+        "if l4 >= 0:",
+        f"    if nxt == {hdr.IP_PROTO_TCP} and dlen >= l4 + {hdr.TCP_MIN_HEADER_LEN}:",
+        f"        proto |= {pp.PROTO_TCP:#x}",
+        f"    elif nxt == {hdr.IP_PROTO_UDP} and dlen >= l4 + {hdr.UDP_HEADER_LEN}:",
+        f"        proto |= {pp.PROTO_UDP:#x}",
+        f"    elif nxt == {hdr.IP_PROTO_ICMPV6} and dlen >= l4 + {hdr.ICMP_HEADER_LEN}:",
+        f"        proto |= {pp.PROTO_ICMP6:#x}",
+        "    else:",
+        "        l4 = -1",
+    ]
+    lines += [
+        f"    if {et} == {hdr.ETH_TYPE_IPV4:#x}:",
+        f"        if dlen < l3 + {hdr.IPV4_MIN_HEADER_LEN} or data[l3] >> 4 != 4:",
+        "            l3 = -1",
+        "        else:",
+        "            hl = (data[l3] & 0xF) << 2",
+        f"            if hl < {hdr.IPV4_MIN_HEADER_LEN} or dlen < l3 + hl:",
+        "                l3 = -1",
+        "            else:",
+        f"                proto |= {pp.PROTO_IPV4}",
+        "                nxt = data[l3 + 9]",
+        "                l4 = l3 + hl",
+    ]
+    if layer >= 4:
+        lines += ["                " + line for line in ipv4_l4]
+    lines += [
+        f"    elif {et} == {hdr.ETH_TYPE_IPV6:#x}:",
+        f"        if dlen < l3 + {hdr.IPV6_HEADER_LEN} or data[l3] >> 4 != 6:",
+        "            l3 = -1",
+        "        else:",
+        f"            proto |= {pp.PROTO_IPV6}",
+        "            nxt = data[l3 + 6]",
+        f"            l4 = l3 + {hdr.IPV6_HEADER_LEN}",
+    ]
+    if layer >= 4:
+        lines += ["            " + line for line in ipv6_l4]
+    lines += [
+        f"    elif {et} == {hdr.ETH_TYPE_ARP:#x}:",
+        f"        if dlen >= l3 + {hdr.ARP_IPV4_LEN}:",
+        f"            proto |= {pp.PROTO_ARP}",
+        "        else:",
+        "            l3 = -1",
+        "    else:",
+        "        l3 = -1",
+    ]
+    return lines
+
+
+def _view_of(pkt, proto, l3, l4, l4_proto, eth_type, layer) -> ParsedPacket:
+    """The :class:`ParsedPacket` the generic parser of ``layer`` returns,
+    rebuilt from the inline parser's locals (generic actions take one)."""
+    view = ParsedPacket(pkt)
+    view.proto = proto
+    view.l3 = l3
+    view.l4 = l4
+    view.l4_proto = l4_proto
+    view.eth_type = eth_type
+    view.parsed_layers = layer if layer == 4 or proto & pp.PROTO_ETH else 0
+    return view
+
+
+#: The inline action templates: opcode -> its body, run with the op's
+#: ``arg`` bound. Bodies that leave the frame's layout intact end in
+#: ``continue``; the rest fall through to the driver's one reparse site.
+_OP_BODIES = {
+    OP_OUTPUT: ["verdict.output_ports.append(arg)", "continue"],
+    OP_SET_L3: [
+        "if proto & arg[0]:",
+        "    data[l3 + arg[1]:l3 + arg[2]] = arg[3]",
+        "continue",
+    ],
+    OP_SET_L4: [
+        "if proto & arg[0]:",
+        "    data[l4 + arg[1]:l4 + arg[2]] = arg[3]",
+        "continue",
+    ],
+    OP_SET_L2: [
+        "if proto & arg[0]:",
+        "    data[arg[1]:arg[2]] = arg[3]",
+        "continue",
+    ],
+    OP_DEC_TTL: [
+        f"if proto & {pp.PROTO_IPV4}:",
+        "    ttl = data[l3 + 8]",
+        "    if ttl <= 1:",
+        "        verdict.dropped = True",
+        "        verdict.output_ports.clear()",
+        "    else:",
+        "        data[l3 + 8] = ttl - 1",
+        "continue",
+    ],
+    OP_POP_VLAN: [
+        f"if (data[12] << 8) | data[13] != {hdr.ETH_TYPE_VLAN:#x}:",
+        "    continue",
+        "del data[12:16]",
+    ],
+    OP_PUSH_VLAN: [
+        # PushVlan.apply reads the ethertype first: same IndexError.
+        f"if len(data) < {hdr.ETH_HEADER_LEN}:",
+        '    raise IndexError("bytearray index out of range")',
+        "data[12:12] = arg",
+    ],
+    OP_GENERIC: [
+        "if view is None:",
+        "    view = _view(pkt, proto, l3, l4, nxt, {et}, {layer})",
+        "arg.apply(view, verdict)",
+        "if not verdict.reparse_needed:",
+        "    continue",
+        "verdict.reparse_needed = False",
+    ],
+}
+#: Dispatch order: ops that keep the frame's layout first, then the
+#: reparsing ones as one if/elif chain above the shared reparse site.
+_OP_ORDER = (
+    OP_OUTPUT, OP_SET_L3, OP_SET_L4, OP_SET_L2, OP_DEC_TTL,
+    OP_POP_VLAN, OP_PUSH_VLAN, OP_GENERIC,
+)
+_REPARSING = frozenset({OP_POP_VLAN, OP_PUSH_VLAN, OP_GENERIC})
 
 
 def _emit_run(
@@ -331,33 +538,39 @@ def _emit_run(
 
     Every statement mirrors the trampoline's ``_forward`` exactly — same
     charges, same order — with the per-hop dispatch specialized, the
-    parser/etype/cost loads baked in, the loop-detection guard elided
-    when the static goto graph is proven acyclic, and the write-set /
-    metadata / flow-meter machinery elided when no enumerated outcome can
-    trigger it (``flags``; None keeps everything). Elided branches charge
-    no atoms and can never fire, so verdicts and cycles are unchanged.
+    parser template and the action templates inlined, the cost loads
+    baked in, the loop-detection guard elided when the static goto graph
+    is proven acyclic, and the write-set / metadata / flow-meter
+    machinery and every unused action template elided when no enumerated
+    outcome can trigger it (``flags``; None keeps everything). Elided
+    branches charge no atoms and can never fire, so verdicts and cycles
+    are unchanged.
     """
     costs = dp.costs
     if flags is None:
-        flags = {"write": True, "meta": True, "meter": True}
+        flags = {"write": True, "meta": True, "meter": True, "ops": set(_OP_ORDER)}
+    ops = [op for op in _OP_ORDER if op in flags["ops"]]
+    layer = dp.parser_layer
+    stock_etype = dp._extract_etype is field_by_name("eth_type").extract
+    # The parser's ethertype is the etype local itself when the stock
+    # extractor would read it back; otherwise it lands in a temporary local.
+    et = "etype" if dp.use_etype and stock_etype else "et"
+    # A ParsedPacket exists only for generic actions and the write set.
+    needs_view = OP_GENERIC in ops or flags["write"]
+    parse = _parser_lines(layer, et)
+    if et != "etype":
+        if dp.use_etype:
+            parse.append(f"etype = _ext(_view(pkt, proto, l3, l4, nxt, et, {layer})) or 0")
+        else:
+            parse.append("etype = 0")
+    if needs_view:
+        parse.append("view = None")
     # did_work only feeds the action_set charge: dead in the null variant.
     track_work = not null
     name = "_run_n" if null else "_run_m"
     sig = f"def {name}(pkt):" if null else f"def {name}(pkt, meter):"
     lines = [sig]
-    lines.append("    view = _parse(pkt)")
-    lines.append("    data = pkt.data")
-    # Actions that change the frame length always request a reparse, so the
-    # hoisted length stays exact at every counters-update site.
-    lines.append("    dlen = len(data)")
-    lines.append("    l3 = view.l3")
-    lines.append("    l4 = view.l4")
-    lines.append("    proto = view.proto")
-    lines.append("    nxt = view.l4_proto")
-    if dp.use_etype:
-        lines.extend(_etype_lines(dp, "    "))
-    else:
-        lines.append("    etype = 0")
+    lines.extend("    " + line for line in parse)
     lines.append("    verdict = _Verdict()")
     lines.append("    path = verdict.path")
     if flags["write"]:
@@ -395,23 +608,19 @@ def _emit_run(
         lines.append("        if out.meter is not None and not out.meter.allow():")
         lines.append("            verdict.dropped = True")
         lines.append("            return verdict")
-    lines.append("        acts = out.apply_actions")
-    lines.append("        if acts:")
-    if track_work:
-        lines.append("            did_work = True")
-    lines.append("            for action in acts:")
-    lines.append("                action.apply(view, verdict)")
-    lines.append("                if verdict.reparse_needed:")
-    lines.append("                    view = _parse(pkt)")
-    lines.append("                    data = pkt.data")
-    lines.append("                    dlen = len(data)")
-    lines.append("                    l3 = view.l3")
-    lines.append("                    l4 = view.l4")
-    lines.append("                    proto = view.proto")
-    lines.append("                    nxt = view.l4_proto")
-    if dp.use_etype:
-        lines.extend(_etype_lines(dp, "                    "))
-    lines.append("                    verdict.reparse_needed = False")
+    if ops:
+        lines.append("        ops = out.ops")
+        lines.append("        if ops:")
+        if track_work:
+            lines.append("            did_work = True")
+        lines.append("            for op, arg in ops:")
+        for pos, op in enumerate(ops):
+            head = "elif" if op in _REPARSING and pos and ops[pos - 1] in _REPARSING else "if"
+            lines.append(f"                {head} op == {op}:")
+            for line in _OP_BODIES[op]:
+                lines.append("                    " + line.format(et=et, layer=layer))
+        if _REPARSING.intersection(ops):
+            lines.extend("                " + line for line in parse)
     if flags["write"]:
         lines.append("        if out.clear_actions:")
         lines.append("            write_set = None")
@@ -434,6 +643,9 @@ def _emit_run(
     if not null:
         lines.append(f"        meter.charge({costs.goto_trampoline!r})")
     if flags["write"]:
+        # The write set runs generically, after the last table: nothing
+        # reads the driver locals past this point, so a reparse only has
+        # to refresh the view.
         lines.append("    if write_set is not None and not verdict.dropped:")
         if track_work:
             lines.append("        did_work = True")
@@ -443,6 +655,8 @@ def _emit_run(
         lines.append(
             "        ordered += [a for a in write_set if isinstance(a, _Output)]"
         )
+        lines.append("        if view is None:")
+        lines.append(f"            view = _view(pkt, proto, l3, l4, nxt, {et}, {layer})")
         lines.append("        for action in ordered:")
         lines.append("            action.apply(view, verdict)")
         lines.append("            if verdict.reparse_needed:")
@@ -457,8 +671,9 @@ def _emit_run(
     return lines, inlined
 
 
-def _emit_entrypoints(dp: "CompiledDatapath") -> list[str]:
-    """Scalar and burst wrappers around the two forward cores."""
+def _emit_entrypoints(dp: "CompiledDatapath") -> tuple[list[str], list[str]]:
+    """Scalar and burst wrappers around the two forward cores:
+    ``(metered, null)``."""
     costs = dp.costs
     # Exactly the expressions the trampoline evaluates per call, computed
     # once here and baked as round-tripping literals: bit-identical floats.
@@ -491,7 +706,7 @@ def _emit_entrypoints(dp: "CompiledDatapath") -> list[str]:
         "        if on_verdict is not None and on_verdict(pkt, verdict):",
         "            return verdicts, i",
         "    return verdicts, -1",
-        "",
+    ], [
         "def _burst_null(pkts, on_verdict):",
         "    if on_verdict is None:",
         "        return [_run_n(pkt) for pkt in pkts], -1",
@@ -524,6 +739,9 @@ def fuse_datapath(dp: "CompiledDatapath") -> FusedPipeline:
     namespace: dict = {
         "_parse": _PARSERS[dp.parser_layer],
         "_ext": dp._extract_etype,
+        "_view": _view_of,
+        "_walk6": pp._walk_ipv6_extensions,
+        "_V6EXT": hdr.IPV6_EXT_HEADERS,
         "_Verdict": Verdict,
         "_PipelineError": PipelineError,
         "_Output": Output,
@@ -532,27 +750,29 @@ def fuse_datapath(dp: "CompiledDatapath") -> FusedPipeline:
     acyclic, flags = _pipeline_facts(dp)
     run_m, inlined = _emit_run(dp, namespace, null=False, acyclic=acyclic, flags=flags)
     run_n, _ = _emit_run(dp, namespace, null=True, acyclic=acyclic, flags=flags)
-    lines = run_m + [""] + run_n + [""] + _emit_entrypoints(dp)
-    source = "\n".join(lines) + "\n"
+    entry_m, entry_n = _emit_entrypoints(dp)
+    metered_source = "\n".join(run_m + [""] + entry_m) + "\n"
+    null_source = "\n".join(run_n + [""] + entry_n) + "\n"
     generation = dp.generation
+    _load(null_source, f"<eswitch:fused:gen{generation}>", namespace)
+    return FusedPipeline(
+        generation=generation,
+        source=metered_source + "\n" + null_source,
+        namespace=namespace,
+        table_ids=tuple(sorted(dp.trampoline)),
+        inlined_ids=inlined,
+        process_null=namespace["_run_n"],
+        burst_null=namespace["_burst_null"],
+        metered_source=metered_source,
+    )
+
+
+def _load(source: str, filename: str, namespace: dict) -> None:
+    """Compile generated driver source into ``namespace``."""
     try:
-        code = compile(source, f"<eswitch:fused:gen{generation}>", "exec")
-        exec(code, namespace)
-    except FuseError:
-        raise
+        exec(compile(source, filename, "exec"), namespace)
     except Exception as exc:
         # An emitter bug producing unloadable source is a *fusion* failure,
         # not a datapath one: surface it as FuseError so every caller takes
         # the same trampoline-fallback path.
         raise FuseError(f"generated driver failed to load: {exc}") from exc
-    return FusedPipeline(
-        generation=generation,
-        source=source,
-        namespace=namespace,
-        table_ids=tuple(sorted(dp.trampoline)),
-        inlined_ids=inlined,
-        process=namespace["_process"],
-        process_null=namespace["_run_n"],
-        burst=namespace["_burst"],
-        burst_null=namespace["_burst_null"],
-    )

@@ -5,13 +5,28 @@ Template specialization bakes each flow entry's consequences into a single
 the analogue of the paper's action templates "collapsed into composite
 action sets" and "shared across flows" (interning makes structurally equal
 outcomes one object).
+
+Each outcome also carries its apply-actions precompiled to an **op
+tuple**: ``(opcode, arg)`` pairs the fused driver runs inline, with the
+per-flow values (ports, pre-encoded set-field bytes, VLAN tags) as the
+parameters of a shared template. Op tuples are interned per distinct
+action tuple, so ten thousand routes forwarding to one port share one.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.openflow.actions import Action
+from repro.openflow.actions import (
+    FLOOD_PORT,
+    Action,
+    DecTtl,
+    Flood,
+    Output,
+    PopVlan,
+    PushVlan,
+    SetField,
+)
 from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.flow_table import FlowTable, TableMissPolicy
 from repro.openflow.instructions import (
@@ -21,9 +36,92 @@ from repro.openflow.instructions import (
     WriteActions,
     WriteMetadata,
 )
+from repro.packet.headers import ETH_TYPE_VLAN
 
 if TYPE_CHECKING:
     pass
+
+# -- action templates ---------------------------------------------------------
+#
+# Opcodes of the inline action templates (see repro.core.fuse). Every op
+# has exactly the effect of its action's ``apply`` on the packet bytes and
+# the verdict, including the exception a malformed frame raises.
+
+#: append ``arg`` (a port) to the verdict's output ports.
+OP_OUTPUT = 0
+#: ``(required proto bits, start, stop, bytes)`` written at ``l3 + start``.
+OP_SET_L3 = 1
+#: the same, relative to ``l4``.
+OP_SET_L4 = 2
+#: the same, at absolute frame offsets (Ethernet addresses).
+OP_SET_L2 = 3
+#: pop the outermost 802.1Q tag, if present (``arg`` unused).
+OP_POP_VLAN = 4
+#: insert ``arg``, the 4-byte 802.1Q tag, before the ethertype.
+OP_PUSH_VLAN = 5
+#: decrement the IPv4 TTL, dropping at zero (``arg`` unused).
+OP_DEC_TTL = 6
+#: anything else: ``arg.apply(view, verdict)`` on a ParsedPacket.
+OP_GENERIC = 7
+
+#: set-field writers that are one byte-slice store: field -> (op, start, stop).
+_SLICE_FIELDS = {
+    "eth_dst": (OP_SET_L2, 0, 6),
+    "eth_src": (OP_SET_L2, 6, 12),
+    "ipv4_src": (OP_SET_L3, 12, 16),
+    "ipv4_dst": (OP_SET_L3, 16, 20),
+    "ipv6_src": (OP_SET_L3, 8, 24),
+    "ipv6_dst": (OP_SET_L3, 24, 40),
+    "tcp_src": (OP_SET_L4, 0, 2),
+    "tcp_dst": (OP_SET_L4, 2, 4),
+    "udp_src": (OP_SET_L4, 0, 2),
+    "udp_dst": (OP_SET_L4, 2, 4),
+}
+
+#: distinct action tuple -> its op tuple (cleared when it grows past
+#: _OPS_POOL_MAX, which only costs sharing, never correctness).
+_OPS_POOL: dict = {}
+_OPS_POOL_MAX = 1 << 16
+
+
+def _op_of(action: Action) -> tuple:
+    """One action as an ``(opcode, arg)`` pair.
+
+    Only the stock classes compile to a template (exact type checks: a
+    subclass may override ``apply``); everything else is generic.
+    """
+    kind = type(action)
+    if kind is Output:
+        return (OP_OUTPUT, action.port)
+    if kind is Flood:
+        return (OP_OUTPUT, FLOOD_PORT)
+    if kind is SetField and action.field in _SLICE_FIELDS:
+        op, start, stop = _SLICE_FIELDS[action.field]
+        value = action.value.to_bytes(stop - start, "big")
+        return (op, (action._proto_required, start, stop, value))
+    if kind is PopVlan:
+        return (OP_POP_VLAN, None)
+    if kind is PushVlan:
+        tci = ((action.pcp & 0x7) << 13) | (action.vid & 0xFFF)
+        return (OP_PUSH_VLAN, ((ETH_TYPE_VLAN << 16) | tci).to_bytes(4, "big"))
+    if kind is DecTtl:
+        return (OP_DEC_TTL, None)
+    return (OP_GENERIC, action)
+
+
+def action_ops(actions: "tuple[Action, ...]") -> tuple:
+    """The interned op tuple of an apply-actions tuple."""
+    if not actions:
+        return ()
+    try:
+        ops = _OPS_POOL.get(actions)
+    except TypeError:  # an unhashable user action: compile, don't share
+        return tuple(_op_of(a) for a in actions)
+    if ops is None:
+        if len(_OPS_POOL) >= _OPS_POOL_MAX:
+            _OPS_POOL.clear()
+        ops = _OPS_POOL[actions] = tuple(_op_of(a) for a in actions)
+    return ops
 
 
 class Outcome:
@@ -39,6 +137,7 @@ class Outcome:
         "is_miss",
         "to_controller",
         "meter",
+        "ops",
     )
 
     def __init__(
@@ -63,6 +162,8 @@ class Outcome:
         self.to_controller = to_controller
         #: a MeterInstruction checked before the entry's actions, or None.
         self.meter = meter
+        #: ``apply_actions`` as interned ``(opcode, arg)`` pairs.
+        self.ops = action_ops(apply_actions)
 
     def __repr__(self) -> str:
         if self.is_miss:

@@ -56,7 +56,7 @@ def _actions(rng, group_ids) -> list:
         elif roll < 0.72:
             acts.append("controller")
         elif roll < 0.82:
-            field = rng.choice(["eth_dst", "ipv4_dst", "tcp_dst"])
+            field = rng.choice(["eth_dst", "ipv4_src", "ipv4_dst", "tcp_dst"])
             acts.append({"set": {field: domain.domain_value(rng, field)}})
         elif roll < 0.87:
             acts.append("dec_ttl")

@@ -43,7 +43,8 @@ class BurstStats:
         """Account one burst of ``size`` packets costing ``cycles``."""
         self.bursts += 1
         self.packets += size
-        self._cycles += Fraction(cycles)
+        if cycles:  # every NullMeter burst costs 0: skip the exact add
+            self._cycles += Fraction(cycles)
         self.histogram[size] = self.histogram.get(size, 0) + 1
 
     @property

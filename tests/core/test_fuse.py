@@ -16,6 +16,7 @@ import strategies as sts
 from repro.core import CompileConfig, ESwitch
 from repro.core.datapath import CompiledDatapath
 from repro.core.fuse import FuseError, fuse_datapath
+from repro.core.outcome import OP_DEC_TTL, OP_GENERIC, OP_POP_VLAN
 from repro.openflow.actions import Output
 from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.flow_table import FlowTable
@@ -238,6 +239,34 @@ class TestGenerationContract:
             sw.process(self._pkt())
         assert sw.datapath.fused is None
 
+    def test_metered_variant_compiles_on_first_metered_packet(self):
+        sw = self._switch()
+        sw.process(self._pkt())
+        fused = sw.datapath.fused
+        assert fused.process is None and "_process" not in fused.namespace
+        sw.process(self._pkt(), CycleMeter(XEON_E5_2620))
+        assert sw.datapath.fused is fused
+        assert fused.process is fused.namespace["_process"]
+
+    def test_metered_variant_load_failure_degrades_to_trampoline(self, monkeypatch):
+        import repro.core.fuse as fuse_mod
+
+        sw = self._switch()
+        expected = sw.process(self._pkt()).summary()
+        real_compile = compile
+
+        def bad_compile(src, name, mode):
+            if "fused-metered" in name:
+                raise SyntaxError("synthetic codegen corruption")
+            return real_compile(src, name, mode)
+
+        monkeypatch.setattr(fuse_mod, "compile", bad_compile, raising=False)
+        got = sw.process(self._pkt(), CycleMeter(XEON_E5_2620)).summary()
+        assert got == expected
+        assert sw.datapath.fused is None
+        assert sw.datapath.fuse_failures == 1
+        assert "synthetic codegen corruption" in sw.datapath.last_fuse_error
+
     def test_empty_datapath_fuse_fails_and_memoizes(self):
         dp = CompiledDatapath(first_table=0)
         with pytest.raises(FuseError):
@@ -270,10 +299,19 @@ class TestSpecialization:
         assert "metadata_write" not in source
         assert "out.meter" not in source
 
-    def test_stock_etype_extractor_reads_cached_slot(self):
+    def test_stock_pipeline_inlines_parser_and_actions(self):
+        """The gateway's extractor and actions are all stock templates: the
+        fused source neither calls the generic parser nor builds a
+        ParsedPacket, and emits only the op branches its outcomes use."""
         p, _fib = gateway.build(n_ce=1, users_per_ce=1, n_prefixes=16)
         _, source = self._fused_source(p)
-        assert "etype = view.eth_type" in source
+        assert "_parse(" not in source
+        assert "_view(" not in source
+        assert "ParsedPacket" not in source
+        assert "etype = (data[12] << 8) | data[13]" in source
+        assert f"op == {OP_POP_VLAN}:" in source
+        assert f"op == {OP_DEC_TTL}:" not in source
+        assert f"op == {OP_GENERIC}:" not in source
 
     def test_null_variant_has_no_charges(self):
         p, _fib = gateway.build(n_ce=1, users_per_ce=1, n_prefixes=16)

@@ -1,5 +1,7 @@
 """Tests for statistics collection."""
 
+from fractions import Fraction
+
 from repro.core import ESwitch
 from repro.openflow.match import Match
 from repro.openflow.stats import (
@@ -133,15 +135,28 @@ class TestBurstStatsMerge:
         assert stats.cycles == 64.0
 
     def test_merge_is_associative(self):
+        import itertools
+
         from repro.openflow.stats import BurstStats
 
-        a = self.make([(4, 0.1)])
-        b = self.make([(4, 0.2)])
-        c = self.make([(4, 0.3)])
-        left = BurstStats.merged([BurstStats.merged([a, b]), c])
-        right = BurstStats.merged([a, BurstStats.merged([b, c])])
-        assert left.cycles == right.cycles
-        assert left.snapshot() == right.snapshot()
+        # Zero-cycle bursts (every NullMeter burst) skip the exact add;
+        # mixed with metered ones, every grouping still sums bit-identically.
+        shards = [
+            self.make([(4, 0.1)]),
+            self.make([(4, 0.2), (32, 0.0)]),
+            self.make([(4, 0.3)]),
+            self.make([(8, 0.0), (1, -0.0)]),
+        ]
+        snapshots = set()
+        for a, b, c, d in itertools.permutations(shards):
+            left = BurstStats.merged([BurstStats.merged([a, b]), BurstStats.merged([c, d])])
+            right = BurstStats.merged([a, BurstStats.merged([b, BurstStats.merged([c, d])])])
+            assert left.cycles == right.cycles
+            assert left.snapshot() == right.snapshot()
+            snapshots.add(repr(left.snapshot()))
+        assert len(snapshots) == 1
+        assert left.bursts == 6 and left.packets == 53
+        assert left.cycles == float(Fraction(0.1) + Fraction(0.2) + Fraction(0.3))
 
     def test_reset_clears_exactly(self):
         stats = self.make([(8, 123.5)])
