@@ -22,23 +22,17 @@ from typing import Sequence
 
 from repro.core.analysis import TemplateKind
 from repro.core.eswitch import ESwitch
+from repro.core.fuse import table_outcomes
 from repro.simcpu.model import AnalyticModel, StageCost
 from repro.simcpu.platform import Platform, XEON_E5_2620
 
 
 def _longest_goto_chain(switch: ESwitch) -> list[int]:
     """The deepest table path a packet can take, by goto-DAG DFS."""
-    trampoline = switch.datapath.trampoline
-    successors: dict[int, set[int]] = {tid: set() for tid in trampoline}
-    for tid, compiled in trampoline.items():
-        targets: set[int] = set()
-        if compiled.kind is TemplateKind.DIRECT or compiled.kind is None:
-            pass
-        for out in _outcomes_of(compiled):
-            if out is not None and out.goto is not None:
-                targets.add(out.goto)
-        successors[tid] = targets
-
+    successors = {
+        tid: {o.goto for o in table_outcomes(compiled) or () if o.goto is not None}
+        for tid, compiled in switch.datapath.trampoline.items()
+    }
     first = switch.datapath.first_table
     best: list[int] = []
     stack: list[tuple[int, list[int]]] = [(first, [first])]
@@ -50,30 +44,6 @@ def _longest_goto_chain(switch: ESwitch) -> list[int]:
             if nxt not in path and nxt in successors:  # goto DAG: no cycles
                 stack.append((nxt, path + [nxt]))
     return best
-
-
-def _outcomes_of(compiled) -> list:
-    """All outcomes a compiled table can return (template-specific)."""
-    import re
-
-    out = [compiled.miss]
-    if compiled.kind is TemplateKind.HASH:
-        assert compiled.hash_store is not None
-        out.extend(v for _k, v in compiled.hash_store.items())
-    elif compiled.kind is TemplateKind.LPM:
-        out.extend(compiled.namespace.get("_OUT", ()))
-    elif compiled.kind is TemplateKind.RANGE:
-        for run in compiled.namespace.get("_OUTS", ()):
-            out.extend(run)  # _OUTS is per-run lists of per-port outcomes
-    elif compiled.kind is TemplateKind.LINKED_LIST:
-        out.extend(entry[3] for entry in compiled.ll_entries or ())
-    else:  # direct code: outcomes live as _O<i> constants
-        out.extend(
-            v
-            for k, v in compiled.namespace.items()
-            if re.fullmatch(r"_O\d+", k)
-        )
-    return out
 
 
 def derive_model(

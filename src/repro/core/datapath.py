@@ -75,7 +75,9 @@ class CompiledDatapath:
     ``process_burst`` run the fused driver while it matches the current
     generation and lazily re-fuse on the first packet after a change —
     the compile happens off the update critical path, with the trampoline
-    serving packets in the window and for shapes the fuser rejects.
+    serving packets in the window and for shapes the fuser rejects. A
+    data-only hash/LPM slot write the standing driver covers carries that
+    driver into the new generation instead (:meth:`bump_generation`).
     """
 
     def __init__(
@@ -105,6 +107,8 @@ class CompiledDatapath:
         #: accounting: a fuse failure is a health event, never a crash).
         self.fuse_failures = 0
         self.last_fuse_error = ""
+        #: generation bumps the standing fused driver was carried across.
+        self.carried_generations = 0
         self._extract_etype = field_by_name("eth_type").extract
         self.set_parser_layer(parser_layer)
 
@@ -123,9 +127,28 @@ class CompiledDatapath:
 
     # -- linking ------------------------------------------------------------
 
-    def bump_generation(self) -> None:
-        """Invalidate the fused driver after an in-place table mutation."""
+    def bump_generation(self, writes=None) -> None:
+        """Advance the generation after an in-place table mutation.
+
+        ``writes`` lists the ``(table_id, outcome)`` pairs a keyed-slot
+        update wrote (``outcome`` None for an emptied slot). The fused
+        driver reads hash and LPM slots live, through the stores it
+        shares by reference, so when it was current and
+        :meth:`~repro.core.fuse.FusedPipeline.covers` every pair it is
+        carried into the new generation. Anything else (``writes`` None)
+        re-fuses lazily on the next packet.
+        """
+        fused = self._fused
+        carry = (
+            writes is not None
+            and fused is not None
+            and fused.generation == self.generation
+            and all(fused.covers(tid, outcome) for tid, outcome in writes)
+        )
         self.generation += 1
+        if carry:
+            fused.generation = self.generation
+            self.carried_generations += 1
 
     def install(self, compiled: CompiledTable) -> None:
         """Atomically (re)link one table into the trampoline."""
@@ -250,27 +273,32 @@ class CompiledDatapath:
         signals that datapath state may have changed and the hoisted
         dispatch is re-read.
 
-        While a fused driver is fresh the whole burst runs inside it; a
-        truthy ``on_verdict`` hands the rest of the burst back to the
-        trampoline (which re-reads the live datapath), and the next burst
-        re-fuses lazily.
+        While a fused driver is fresh the whole burst runs inside it. After
+        a truthy ``on_verdict`` the rest of the burst stays in the fused
+        driver if that driver is still current (the control work only
+        queued a punt, or wrote slots the driver covers); otherwise it
+        goes back to the trampoline, which re-reads the live datapath,
+        and the next burst re-fuses lazily.
         """
         if not pkts:
             return []
         null = meter is NULL_METER
         fused = self._fused_fresh() if null else self._fused_metered()
-        if fused is not None:
+        if fused is None:
+            return self._trampoline_burst(pkts, meter, on_verdict)
+        verdicts = None
+        resume = 0
+        while fused.generation == self.generation:
             if null:
-                verdicts, resume = fused.burst_null(pkts, on_verdict)
+                verdicts, resume = fused.burst_null(pkts, on_verdict, verdicts, resume)
             else:
-                verdicts, resume = fused.burst(pkts, meter, on_verdict)
+                verdicts, resume = fused.burst(pkts, meter, on_verdict, verdicts, resume)
             if resume < 0:
                 return verdicts
-            return self._trampoline_burst(
-                pkts, meter, on_verdict, verdicts=verdicts, start=resume,
-                charge_io=False,
-            )
-        return self._trampoline_burst(pkts, meter, on_verdict)
+        return self._trampoline_burst(
+            pkts, meter, on_verdict, verdicts=verdicts, start=resume,
+            charge_io=False,
+        )
 
     def _trampoline_burst(
         self,

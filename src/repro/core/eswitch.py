@@ -128,6 +128,8 @@ class SwitchHealth:
             ``CompileConfig.compile_budget``.
         fuse_failures: whole-pipeline fusion attempts that degraded to the
             trampoline.
+        carried_generations: generation bumps (hash/LPM slot writes) the
+            standing fused driver was carried across without a re-fuse.
         last_fuse_error: message of the most recent fusion failure, or "".
         fused_active: the current generation is served by a fused driver
             (False = trampoline dispatch, the middle rung of the chain).
@@ -143,6 +145,7 @@ class SwitchHealth:
     compile_failures: int = 0
     budget_deferrals: int = 0
     fuse_failures: int = 0
+    carried_generations: int = 0
     last_fuse_error: str = ""
     fused_active: bool = False
     generation: int = 0
@@ -164,6 +167,7 @@ class SwitchHealth:
             "compile_failures": self.compile_failures,
             "budget_deferrals": self.budget_deferrals,
             "fuse_failures": self.fuse_failures,
+            "carried_generations": self.carried_generations,
             "last_fuse_error": self.last_fuse_error,
             "fused_active": self.fused_active,
             "generation": self.generation,
@@ -358,6 +362,7 @@ class ESwitch:
             compile_failures=self.compile_failures,
             budget_deferrals=self.budget_deferrals,
             fuse_failures=dp.fuse_failures,
+            carried_generations=dp.carried_generations,
             last_fuse_error=dp.last_fuse_error,
             fused_active=fused is not None and fused.generation == dp.generation,
             generation=dp.generation,
@@ -558,13 +563,19 @@ class ESwitch:
             if layer != self.datapath.parser_layer:
                 self.datapath.set_parser_layer(layer)
         kind_stable = self._kind_stable(table, mod, len_before, pre_class_exists)
-        cycles = self._recompile_after_update(table, mod, new_table, kind_stable)
+        cycles, slot_write = self._recompile_after_update(
+            table, mod, new_table, kind_stable
+        )
         # Incremental updates mutate compiled-table namespaces in place
         # (hash store, LPM slots, linked list entries, _MISS rebinds)
-        # without touching the trampoline — invalidate the fused driver
-        # explicitly; rebuilds already did via install(). The re-fuse
-        # itself is lazy: it runs on the next packet, not here.
-        self.datapath.bump_generation()
+        # without touching the trampoline, so the generation moves here;
+        # rebuilds already moved it via install(). A hash/LPM slot write
+        # is data the standing fused driver reads live: it is carried
+        # when it covers the written outcome. Anything else re-fuses
+        # lazily, on the next packet, not here.
+        self.datapath.bump_generation(
+            None if slot_write is None else (slot_write,)
+        )
         self.update_stats.cycles += cycles
         return cycles
 
@@ -800,16 +811,19 @@ class ESwitch:
         mod: FlowMod,
         new_table: bool,
         kind_stable: bool = False,
-    ) -> float:
+    ) -> "tuple[float, tuple | None]":
+        """Absorb one applied mod into the compiled datapath.
+
+        Returns the modeled cycles and, for a hash/LPM keyed-slot write,
+        the ``(table_id, outcome)`` it wrote (None otherwise).
+        """
         costs = self.costs
         stats = self.update_stats
 
         if new_table:
             self._compile_group(table)
             stats.rebuilds += 1
-            return costs.es_update_rebuild_base + costs.es_update_rebuild_per_entry * len(
-                table
-            )
+            return self._rebuild_cycles(table), None
 
         group = self._groups[table.table_id]
         if group.decomposed:
@@ -817,7 +831,7 @@ class ESwitch:
             # enqueue, the compile runs off the update's critical path.
             self._dirty_groups.add(table.table_id)
             stats.group_rebuilds += 1
-            return costs.es_update_incremental
+            return costs.es_update_incremental, None
 
         compiled = self.datapath.table(table.table_id)
         if kind_stable:
@@ -829,20 +843,24 @@ class ESwitch:
             # Prerequisite changed: fall back (or upgrade) with a rebuild.
             stats.fallbacks += 1
             if self._budget_spent():
-                return self._defer_rebuild(table.table_id)
+                return self._defer_rebuild(table.table_id), None
             self._rebuild_group(table.table_id)
-            return costs.es_update_rebuild_base + costs.es_update_rebuild_per_entry * len(
-                table
-            )
+            return self._rebuild_cycles(table), None
 
-        if self._try_incremental(compiled, table, mod):
+        absorbed = self._try_incremental(compiled, table, mod)
+        if absorbed:
             stats.incremental += 1
-            return costs.es_update_incremental
+            slot_write = None if absorbed is True else absorbed
+            return costs.es_update_incremental, slot_write
 
         stats.rebuilds += 1
         if self._budget_spent():
-            return self._defer_rebuild(table.table_id)
+            return self._defer_rebuild(table.table_id), None
         self._rebuild_group(table.table_id)
+        return self._rebuild_cycles(table), None
+
+    def _rebuild_cycles(self, table: FlowTable) -> float:
+        costs = self.costs
         return costs.es_update_rebuild_base + costs.es_update_rebuild_per_entry * len(
             table
         )
@@ -865,20 +883,21 @@ class ESwitch:
 
     def _try_incremental(
         self, compiled: CompiledTable, table: FlowTable, mod: FlowMod
-    ) -> bool:
-        """Non-destructive in-place update where the template allows it."""
+    ) -> "bool | tuple":
+        """Non-destructive in-place update where the template allows it.
+
+        Returns False when the template cannot absorb the mod (rebuild),
+        the ``(table_id, outcome)`` pair of a hash/LPM keyed-slot write
+        (``outcome`` None for an emptied slot), or True for any other
+        in-place change: a catch-all rebind or a linked-list rewrite.
+        """
         if compiled.kind is TemplateKind.DIRECT:
             return False  # "Complete rebuilding happens … unconditionally"
 
         if compiled.kind is TemplateKind.HASH:
             match = mod.match
             if match.is_catch_all:
-                last = table.last_entry()  # O(1): no live-tuple rebuild
-                compiled.namespace["_MISS"] = (
-                    outcome_of(last)
-                    if last is not None and last.match.is_catch_all
-                    else miss_outcome(table)
-                )
+                self._rebind_miss(compiled, table)
                 return True
             if match.fields != compiled.hash_fields or any(
                 match.mask_of(name) != mask
@@ -893,23 +912,19 @@ class ESwitch:
             # the highest-priority entry that *remains* in the table, so a
             # strict delete of one duplicate reinstates the survivor.
             best = table.find(match)
-            if best is None:
+            written = None if best is None else outcome_of(best)
+            if written is None:
                 compiled.hash_store.remove(key)
             else:
-                compiled.hash_store.insert(key, outcome_of(best))
+                compiled.hash_store.insert(key, written)
             compiled.entry_count = len(table)
-            return True
+            return compiled.table_id, written
 
         if compiled.kind is TemplateKind.LPM:
             match = mod.match
             assert compiled.lpm_store is not None
             if match.is_catch_all:
-                last = table.last_entry()  # O(1): no live-tuple rebuild
-                compiled.namespace["_MISS"] = (
-                    outcome_of(last)
-                    if last is not None and last.match.is_catch_all
-                    else miss_outcome(table)
-                )
+                self._rebind_miss(compiled, table)
                 return True
             if match.fields != (compiled.lpm_field,) or not match.is_prefix(
                 compiled.lpm_field
@@ -926,21 +941,22 @@ class ESwitch:
             outcomes = compiled.namespace["_OUT"]
             slot = store.get_rule(value, depth)
             best = table.find(match)
-            if best is None:
+            written = None if best is None else outcome_of(best)
+            if written is None:
                 if slot is not None:
                     store.delete(value, depth)
                     outcomes[slot] = None
                     compiled.lpm_free.append(slot)
             elif slot is not None:
                 # Rule replaced (or one duplicate deleted): rebind in place.
-                outcomes[slot] = outcome_of(best)
+                outcomes[slot] = written
             else:
                 if compiled.lpm_free:
                     slot = compiled.lpm_free.pop()
-                    outcomes[slot] = outcome_of(best)
+                    outcomes[slot] = written
                 else:
                     slot = len(outcomes)
-                    outcomes.append(outcome_of(best))
+                    outcomes.append(written)
                 try:
                     store.add(value, depth, slot)
                 except LpmFullError:
@@ -948,7 +964,7 @@ class ESwitch:
                     compiled.lpm_free.append(slot)
                     return False  # fall back to a (larger) rebuild
             compiled.entry_count = len(table)
-            return True
+            return compiled.table_id, written
 
         if compiled.kind is TemplateKind.LINKED_LIST:
             # Rebuild the entry list in place, reusing the shared matcher
@@ -956,7 +972,7 @@ class ESwitch:
             from repro.core.analysis import split_catch_all
 
             rules, catch_all = split_catch_all(table.entries)
-            compiled.namespace["_MISS"] = (
+            compiled.miss = compiled.namespace["_MISS"] = (
                 outcome_of(catch_all) if catch_all is not None else miss_outcome(table)
             )
             from repro.core.codegen import _guard_masks
@@ -978,6 +994,18 @@ class ESwitch:
             return True
 
         return False
+
+    @staticmethod
+    def _rebind_miss(compiled: CompiledTable, table: FlowTable) -> None:
+        """Re-point a keyed template's miss at the table's catch-all. The
+        generated code reads ``_MISS``; :attr:`CompiledTable.miss` is what
+        outcome enumeration sees, so both move together."""
+        last = table.last_entry()  # O(1): no live-tuple rebuild
+        compiled.miss = compiled.namespace["_MISS"] = (
+            outcome_of(last)
+            if last is not None and last.match.is_catch_all
+            else miss_outcome(table)
+        )
 
     def __repr__(self) -> str:
         return (

@@ -41,7 +41,12 @@ Validity is governed by :attr:`CompiledDatapath.generation`: ``install``/
 :class:`~repro.core.eswitch.ESwitch`) bump it, and the datapath lazily
 re-fuses on the next packet — off the update critical path, with the
 trampoline serving the window in between, so the atomic-swap update
-semantics are untouched.
+semantics are untouched. The one exception is the paper's data-only
+update (Section 3.4): a hash or LPM slot write changes table data, not
+code. The fused namespace shares the hash store, the LPM store and its
+outcome list by reference, so when the written outcome needs nothing the
+driver elided (:meth:`FusedPipeline.covers`) the standing driver is
+carried into the new generation instead of re-fused.
 """
 
 from __future__ import annotations
@@ -104,7 +109,7 @@ class FusedPipeline:
     The NullMeter variant is compiled at fuse time. The metered variant's
     source is emitted with it but compiled on first metered use
     (:meth:`load_metered`): functional-mode traffic, which re-fuses after
-    every update, never pays for the second compile.
+    every code-changing update, never pays for the second compile.
     """
 
     generation: int
@@ -115,18 +120,27 @@ class FusedPipeline:
     inlined_ids: tuple[int, ...]
     #: ``(pkt) -> Verdict`` — NullMeter scalar driver (atoms elided).
     process_null: Callable
-    #: ``(pkts, on_verdict) -> (verdicts, resume)`` — NullMeter variant.
+    #: ``(pkts, on_verdict, verdicts, start) -> (verdicts, resume)`` —
+    #: NullMeter variant.
     burst_null: Callable
     #: the metered variant's source, loaded by :meth:`load_metered`.
     metered_source: str
+    #: the facts the driver was specialized for (see :func:`_pipeline_facts`):
+    #: the loop guard was dropped, the machinery ``flags`` kept, and the
+    #: per-table goto ``edges``.
+    acyclic: bool
+    flags: dict
+    edges: dict
     #: ``(pkt, meter) -> Verdict`` — metered scalar driver; None until
     #: :meth:`load_metered` ran.
     process: "Callable | None" = None
-    #: ``(pkts, meter, on_verdict) -> (verdicts, resume)`` where ``resume``
-    #: is -1 when the whole burst ran fused, else the index of the first
-    #: unprocessed packet (state changed under us: the caller finishes the
-    #: burst on the trampoline, which re-reads the live datapath). None
-    #: until :meth:`load_metered` ran.
+    #: ``(pkts, meter, on_verdict, verdicts, start) -> (verdicts, resume)``
+    #: appends the verdicts of ``pkts[start:]`` to ``verdicts`` (None: a
+    #: new list); ``resume`` is -1 when the rest of the burst ran fused,
+    #: else the index of the first unprocessed packet (``on_verdict``
+    #: returned True: state may have changed under us). The per-burst IO
+    #: cost is charged only when ``start`` is 0. None until
+    #: :meth:`load_metered` ran.
     burst: "Callable | None" = None
 
     def load_metered(self) -> None:
@@ -148,15 +162,40 @@ class FusedPipeline:
         """
         return self.generation == datapath.generation
 
+    def covers(self, table_id: int, outcome: "Outcome | None") -> bool:
+        """Whether this driver already serves ``outcome`` written into one
+        of ``table_id``'s keyed slots (None: the slot was emptied).
 
-def _table_outcomes(compiled) -> "list[Outcome] | None":
+        The driver elided what no enumerated outcome needed; a slot write
+        keeps it valid exactly when the new outcome needs none of that: no
+        goto edge the guard-free driver has not proven acyclic, and no
+        write set, metadata write, flow meter or action opcode whose
+        machinery was dropped. A removal only shrinks the outcome set.
+        """
+        if outcome is None:
+            return True
+        goto = outcome.goto
+        if self.acyclic and goto is not None and goto not in self.edges.get(table_id, ()):
+            return False
+        flags = self.flags
+        if outcome.write_actions and not flags["write"]:
+            return False
+        if outcome.metadata_write is not None and not flags["meta"]:
+            return False
+        if outcome.meter is not None and not flags["meter"]:
+            return False
+        ops = flags["ops"]
+        return all(op in ops for op, _arg in outcome.ops)
+
+
+def table_outcomes(compiled) -> "list[Outcome] | None":
     """Every Outcome a table lookup can return, or None if unknowable.
 
     Outcomes are compile-time constants: they live in the generated
-    namespace (``_O*``, ``_MISS``, the LPM ``_OUT`` list, the linked-list
-    ``_ENTRIES`` tuples) or inside the hash store. Incremental updates
-    mutate those same containers and bump the generation, so a re-fuse
-    always re-reads the current set.
+    namespace (``_O*``, ``_MISS``, the LPM ``_OUT`` list, the range
+    ``_OUTS`` runs, the linked-list ``_ENTRIES`` tuples) or inside the
+    hash store. Incremental updates mutate those same containers, so the
+    enumeration always reads the current set.
     """
     namespace = getattr(compiled, "namespace", None)
     if not isinstance(namespace, dict):
@@ -180,10 +219,10 @@ def _table_outcomes(compiled) -> "list[Outcome] | None":
     return found
 
 
-def _pipeline_facts(dp: "CompiledDatapath") -> "tuple[bool, dict | None]":
+def _pipeline_facts(dp: "CompiledDatapath") -> "tuple[bool, dict, dict[int, set[int]]]":
     """Whole-datapath facts proven from the enumerated outcome set.
 
-    Returns ``(acyclic, flags)``:
+    Returns ``(acyclic, flags, edges)``:
 
     * ``acyclic`` — no chain of static ``goto`` targets can revisit a
       table, so the fused driver may drop the per-hop loop guard (the
@@ -193,16 +232,17 @@ def _pipeline_facts(dp: "CompiledDatapath") -> "tuple[bool, dict | None]":
       (``write`` action sets, ``meta``\\ data writes, flow ``meter``
       checks, and the set of action-template ``ops``); the emitter
       elides what no outcome can trigger — the specialization move of
-      the paper, applied to our own driver.
+      the paper, applied to our own driver;
+    * ``edges`` — table id -> the goto targets of its outcomes.
 
-    Any table whose outcomes cannot be enumerated makes both answers
-    conservative: ``(False, None)`` keeps the fully generic driver.
+    Any table whose outcomes cannot be enumerated makes every answer
+    conservative: the guarded, fully generic driver.
     """
     tables: dict[int, list[Outcome]] = {}
     for tid, compiled in dp.trampoline.items():
-        outcomes = _table_outcomes(compiled)
+        outcomes = table_outcomes(compiled)
         if outcomes is None:
-            return False, None
+            return False, _GENERIC_FLAGS, {}
         tables[tid] = outcomes
     edges = {
         tid: {o.goto for o in outcomes if o.goto is not None}
@@ -236,7 +276,7 @@ def _pipeline_facts(dp: "CompiledDatapath") -> "tuple[bool, dict | None]":
         "meter": any(o.meter is not None for o in everything),
         "ops": {op for ops in op_tuples for op, _arg in ops},
     }
-    return acyclic, flags
+    return acyclic, flags, edges
 
 
 def _rename_body(body: list[str], mapping: dict[str, str]) -> list[str]:
@@ -525,14 +565,16 @@ _OP_ORDER = (
     OP_POP_VLAN, OP_PUSH_VLAN, OP_GENERIC,
 )
 _REPARSING = frozenset({OP_POP_VLAN, OP_PUSH_VLAN, OP_GENERIC})
+#: the facts of a pipeline whose outcomes cannot be enumerated: keep all.
+_GENERIC_FLAGS = {"write": True, "meta": True, "meter": True, "ops": frozenset(_OP_ORDER)}
 
 
 def _emit_run(
     dp: "CompiledDatapath",
     namespace: dict,
     null: bool,
-    acyclic: bool = False,
-    flags: "dict | None" = None,
+    acyclic: bool,
+    flags: dict,
 ) -> tuple[list[str], tuple[int, ...]]:
     """The fused forward core: CompiledDatapath._forward, specialized.
 
@@ -542,13 +584,10 @@ def _emit_run(
     baked in, the loop-detection guard elided when the static goto graph
     is proven acyclic, and the write-set / metadata / flow-meter
     machinery and every unused action template elided when no enumerated
-    outcome can trigger it (``flags``; None keeps everything). Elided
-    branches charge no atoms and can never fire, so verdicts and cycles
-    are unchanged.
+    outcome can trigger it (``flags``). Elided branches charge no atoms
+    and can never fire, so verdicts and cycles are unchanged.
     """
     costs = dp.costs
-    if flags is None:
-        flags = {"write": True, "meta": True, "meter": True, "ops": set(_OP_ORDER)}
     ops = [op for op in _OP_ORDER if op in flags["ops"]]
     layer = dp.parser_layer
     stock_etype = dp._extract_etype is field_by_name("eth_type").extract
@@ -686,12 +725,13 @@ def _emit_entrypoints(dp: "CompiledDatapath") -> tuple[list[str], list[str]]:
         f"    meter.charge({entry_charge!r})",
         "    return _run_m(pkt, meter)",
         "",
-        "def _burst(pkts, meter, on_verdict):",
-        "    verdicts = []",
+        "def _burst(pkts, meter, on_verdict, verdicts, i):",
+        "    if verdicts is None:",
+        "        verdicts = []",
         '    begin = getattr(meter, "begin_packet", None)',
         '    end = getattr(meter, "end_packet", None)',
-        f"    meter.charge({costs.io_burst_cost!r})",
-        "    i = 0",
+        "    if not i:",
+        f"        meter.charge({costs.io_burst_cost!r})",
         "    n = len(pkts)",
         "    while i < n:",
         "        pkt = pkts[i]",
@@ -707,18 +747,18 @@ def _emit_entrypoints(dp: "CompiledDatapath") -> tuple[list[str], list[str]]:
         "            return verdicts, i",
         "    return verdicts, -1",
     ], [
-        "def _burst_null(pkts, on_verdict):",
+        "def _burst_null(pkts, on_verdict, verdicts, i):",
         "    if on_verdict is None:",
         "        return [_run_n(pkt) for pkt in pkts], -1",
-        "    verdicts = []",
-        "    i = 0",
+        "    if verdicts is None:",
+        "        verdicts = []",
         "    n = len(pkts)",
         "    while i < n:",
         "        pkt = pkts[i]",
         "        verdict = _run_n(pkt)",
         "        verdicts.append(verdict)",
         "        i += 1",
-        "        if on_verdict is not None and on_verdict(pkt, verdict):",
+        "        if on_verdict(pkt, verdict):",
         "            return verdicts, i",
         "    return verdicts, -1",
     ]
@@ -747,7 +787,7 @@ def fuse_datapath(dp: "CompiledDatapath") -> FusedPipeline:
         "_Output": Output,
         "_NULL": NULL_METER,
     }
-    acyclic, flags = _pipeline_facts(dp)
+    acyclic, flags, edges = _pipeline_facts(dp)
     run_m, inlined = _emit_run(dp, namespace, null=False, acyclic=acyclic, flags=flags)
     run_n, _ = _emit_run(dp, namespace, null=True, acyclic=acyclic, flags=flags)
     entry_m, entry_n = _emit_entrypoints(dp)
@@ -764,6 +804,9 @@ def fuse_datapath(dp: "CompiledDatapath") -> FusedPipeline:
         process_null=namespace["_run_n"],
         burst_null=namespace["_burst_null"],
         metered_source=metered_source,
+        acyclic=acyclic,
+        flags=flags,
+        edges=edges,
     )
 
 

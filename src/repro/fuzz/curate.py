@@ -17,6 +17,7 @@ import sys
 
 from repro.core.analysis import TemplateKind
 from repro.core.eswitch import CompileConfig, ESwitch
+from repro.core.fuse import FusedPipeline
 from repro.fuzz.diff import run_scenario
 from repro.fuzz.gen import RUNGS, GenerationError, generate, generate_churn
 from repro.fuzz.scenario import Scenario
@@ -52,6 +53,19 @@ def _rung_hit(scenario: Scenario, rung: str) -> bool:
         switch.warm()
         return len(switch.datapath.trampoline) > n_logical
     return _KIND_OF[rung] in kinds
+
+
+def _catches_blind_carry(scenario: Scenario) -> bool:
+    """The scenario diverges when the fused driver is carried across every
+    hash/LPM slot write, covered or not: some mid-stream add brings an
+    opcode, goto edge or machinery the standing driver elided, and later
+    traffic hits it."""
+    covers = FusedPipeline.covers
+    FusedPipeline.covers = lambda self, table_id, outcome: True
+    try:
+        return bool(run_scenario(scenario))
+    finally:
+        FusedPipeline.covers = covers
 
 
 def _find(requirement, *, max_seed: int = 2000, **gen_kwargs) -> Scenario:
@@ -113,6 +127,12 @@ def curate(corpus_dir: str) -> list[str]:
             allow_quarantine=False, allow_degrade=False,
         ),
         "mid-stream flow-mod batches between bursts, rejections included",
+    )
+    save(
+        "traffic-slot-write-coverage",
+        _find(_catches_blind_carry, allow_quarantine=False, allow_degrade=False),
+        "a mid-stream hash/LPM slot write needs machinery the standing fused "
+        "driver elided: it must re-fuse, not carry the driver",
     )
     save(
         "traffic-tight-meter",

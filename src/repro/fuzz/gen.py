@@ -11,7 +11,8 @@ decomposable), so a short fuzz run still visits every code generator.
 Traffic is biased toward match/miss boundaries (off-by-one values,
 in-mask and off-mask bit flips near installed rules) plus a tail of
 malformed frames; flow-mod batches land between bursts, including
-batches built to be *rejected* by admission control.
+batches built to be *rejected* by admission control, and adds in a
+table's own key shape that its hash or LPM template absorbs in place.
 """
 
 from __future__ import annotations
@@ -44,30 +45,38 @@ def _match_obj(fields: dict) -> dict:
     return out
 
 
+#: ``_actions``' roll thresholds: the first bound above the roll wins;
+#: past the last, a group (when there are groups) or a flood.
+_ACTION_ROLLS = (
+    (0.55, "output"), (0.65, "drop"), (0.72, "controller"), (0.82, "set"),
+    (0.87, "dec_ttl"), (0.90, "pop_vlan"), (0.93, "push_vlan"),
+)
+#: every action kind the serialize dialect has.
+_ACTION_KINDS = tuple(kind for _bound, kind in _ACTION_ROLLS) + ("flood", "group")
+
+
+def _action(rng, kind, group_ids):
+    if kind == "output":
+        return {"output": rng.randint(1, 4)}
+    if kind == "set":
+        field = rng.choice(["eth_dst", "ipv4_src", "ipv4_dst", "tcp_dst"])
+        return {"set": {field: domain.domain_value(rng, field)}}
+    if kind == "push_vlan":
+        return {"push_vlan": {"vid": rng.randint(1, 4094)}}
+    if kind == "group":
+        return {"group": rng.choice(group_ids)}
+    return kind
+
+
 def _actions(rng, group_ids) -> list:
     acts: list = []
     n = 1 + (rng.random() < 0.3)
     for _ in range(n):
         roll = rng.random()
-        if roll < 0.55:
-            acts.append({"output": rng.randint(1, 4)})
-        elif roll < 0.65:
-            acts.append("drop")
-        elif roll < 0.72:
-            acts.append("controller")
-        elif roll < 0.82:
-            field = rng.choice(["eth_dst", "ipv4_src", "ipv4_dst", "tcp_dst"])
-            acts.append({"set": {field: domain.domain_value(rng, field)}})
-        elif roll < 0.87:
-            acts.append("dec_ttl")
-        elif roll < 0.90:
-            acts.append("pop_vlan")
-        elif roll < 0.93:
-            acts.append({"push_vlan": {"vid": rng.randint(1, 4094)}})
-        elif group_ids and roll < 0.97:
-            acts.append({"group": rng.choice(group_ids)})
-        else:
-            acts.append("flood")
+        kind = next((k for bound, k in _ACTION_ROLLS if roll < bound), None)
+        if kind is None:
+            kind = "group" if group_ids and roll < 0.97 else "flood"
+        acts.append(_action(rng, kind, group_ids))
     return acts
 
 
@@ -243,8 +252,56 @@ def _burst(rng, profiles, size, allow_malformed) -> list:
     return out
 
 
-def _mods_batch(rng, tids, profiles, group_ids, meter_ids, quarantine) -> list:
+def _keyed_add(rng, table_obj, later, group_ids) -> "tuple[dict, dict]":
+    """An ADD in the shape of one of the table's own keyed entries (same
+    fields, masks and priority: a hash key or an LPM prefix), so a hash or
+    LPM table absorbs it as a slot write. Its instructions come from the
+    whole vocabulary (every action kind, write set, metadata write, goto)
+    so that it can bring an opcode or goto edge the standing fused driver
+    lacks. No meter: admission turns mods with a meter instruction away.
+    Returns ``(entry_obj, fields)``."""
+    model = rng.choice([e for e in table_obj["entries"] if e["match"]])
+    fields = {}
+    for name, spec in model["match"].items():
+        value, mask = ((spec["value"], spec["mask"]) if isinstance(spec, dict)
+                       else (spec, domain.full_mask(name)))
+        if rng.random() < 0.7:  # else the same key: a slot rebind
+            value = domain.domain_value(rng, name) & mask
+        fields[name] = (value, mask)
+    kinds = _ACTION_KINDS if group_ids else _ACTION_KINDS[:-1]
+    obj: dict = {
+        "priority": model["priority"],
+        "match": _match_obj(fields),
+        "apply": [_action(rng, rng.choice(kinds), group_ids)
+                  for _ in range(rng.randint(1, 2))],
+    }
+    if rng.random() < 0.3:
+        obj["write"] = [_action(rng, rng.choice(kinds), group_ids)]
+    if rng.random() < 0.2:
+        obj["metadata"] = {"value": rng.randrange(256), "mask": 0xFF}
+    if later and rng.random() < 0.5:
+        obj["goto"] = rng.choice(later)
+    return obj, fields
+
+
+def _mods_batch(rng, tids, tables_obj, profiles, group_ids, meter_ids,
+                quarantine) -> list:
     batch = []
+    keyed_tids = [t for t in tids if any(e["match"] for e in tables_obj[t]["entries"])]
+    if keyed_tids and rng.random() < 0.35:
+        # Only adds in the tables' own key shapes: when a hash or LPM
+        # template absorbs every one as a slot write, the whole batch
+        # either carries the standing fused driver or must re-fuse it.
+        for _ in range(rng.randint(1, 3)):
+            # Half of them in the first table, which every packet reaches.
+            tid = keyed_tids[0] if rng.random() < 0.5 else rng.choice(keyed_tids)
+            later = [t for t in tids if t > tid]
+            obj, fields = _keyed_add(rng, tables_obj[tid], later, group_ids)
+            obj["cmd"] = "add"
+            obj["table"] = tid
+            profiles.append(fields)
+            batch.append(obj)
+        return batch
     for _ in range(rng.randint(1, 3)):
         # Bias toward quarantined tables: a clean rebuild heals them, and
         # post-heal parity is exactly what the fuzzer is hunting.
@@ -378,11 +435,16 @@ def _generate_once(
 
     events: list = []
     for i in range(rng.randint(1, 4)):
+        aimed: list = []
         if i and allow_mods and rng.random() < 0.5:
+            known = len(profiles)
             events.append({"mods": _mods_batch(
-                rng, tids, profiles, group_ids, meter_ids, quarantine
+                rng, tids, tables_obj, profiles, group_ids, meter_ids, quarantine
             )})
-        events.append({"burst": _burst(
+            # One packet at each rule the batch adds, first thing after it.
+            aimed = [packet_to_obj(domain.packet_for_fields(rng, fields))
+                     for fields in profiles[known:]]
+        events.append({"burst": aimed + _burst(
             rng, profiles, rng.randint(2, 12), allow_malformed
         )})
 
@@ -818,10 +880,16 @@ def generate_fabric_outage(seed: int, n_cohorts: int = 12) -> Scenario:
 
 def _sane(scenario: Scenario) -> bool:
     """Dry-run the reference interpreter: a scenario whose *reference*
-    crashes is a generator bug, not a differential finding."""
+    crashes is a generator bug, not a differential finding. Batches the
+    switch admits are applied, as the oracle applies them."""
+    from repro.core import CompileConfig, ESwitch
+    from repro.fuzz.diff import _apply_reference
+
     try:
         pipeline = scenario.build_pipeline()
         pipeline.validate()
+        arbiter = ESwitch(scenario.build_pipeline(),
+                          config=CompileConfig(enable_range=scenario.enable_range))
         expiry = None
         for event in scenario.events:
             if "burst" in event:
@@ -832,7 +900,9 @@ def _sane(scenario: Scenario) -> bool:
                     expiry = ExpiryManager(PipelineAdapter(pipeline))
                 expiry.tick(float(event["tick"]))
             else:
-                scenario.build_mods(event["mods"], pipeline)
+                batch = event["mods"]
+                if arbiter.submit_flow_mods(scenario.build_mods(batch, arbiter.pipeline)):
+                    _apply_reference(pipeline, scenario.build_mods(batch, pipeline))
         return True
     except Exception:
         return False

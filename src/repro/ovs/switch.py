@@ -202,10 +202,11 @@ class OvsSwitch:
         where the slow path would have dropped), then applies its actions.
         """
         verdict = Verdict()
-        pkt_len = len(view.pkt)
         for flow_meter, actions, rule in entry.program:
             if rule is not None:
-                rule.counters.record(pkt_len)
+                # The length as this rule sees it: an earlier step's VLAN
+                # push or pop changed it, exactly as on the slow path.
+                rule.counters.record(len(view.pkt))
             if flow_meter is not None and not flow_meter.allow():
                 verdict.dropped = True
                 break

@@ -81,3 +81,41 @@ class TestDeriveModel:
         assert any(s.name.startswith("direct code") for s in model.stages)
         lb, ub = model.bounds()
         assert 0 < lb <= ub
+
+
+@pytest.mark.parametrize("lpm", [False, True], ids=["hash", "lpm"])
+def test_catch_all_replacement_retires_goto_edge(lpm):
+    """Replacing a keyed table's catch-all in place moves
+    ``CompiledTable.miss`` with the generated code's ``_MISS``, so the
+    goto chain no longer follows the dead edge."""
+    from repro.core.analysis import TemplateKind
+    from repro.core.autoderive import _longest_goto_chain
+    from repro.openflow.actions import Output
+    from repro.openflow.flow_entry import FlowEntry
+    from repro.openflow.flow_table import FlowTable
+    from repro.openflow.instructions import ApplyActions, GotoTable
+    from repro.openflow.match import Match
+    from repro.openflow.messages import FlowMod, FlowModCommand
+    from repro.openflow.pipeline import Pipeline
+
+    t0 = FlowTable(0)
+    for i in range(8):
+        match = (Match(ipv4_dst=f"10.{i}.0.0/{16 + 8 * (i % 2)}") if lpm
+                 else Match(eth_dst=0x0200_0000_0100 + i))
+        priority = 16 + 8 * (i % 2) if lpm else 10
+        t0.add(FlowEntry(match, priority=priority, actions=[Output(1)]))
+    t0.add(FlowEntry(Match(), priority=0, instructions=(GotoTable(1),)))
+    t1 = FlowTable(1)
+    t1.add(FlowEntry(Match(), priority=0, actions=[Output(2)]))
+    sw = ESwitch.from_pipeline(Pipeline([t0, t1]))
+    compiled = sw.compiled_table(0)
+    assert compiled.kind is (TemplateKind.LPM if lpm else TemplateKind.HASH)
+    assert _longest_goto_chain(sw) == [0, 1]
+    sw.apply_flow_mods([
+        FlowMod(FlowModCommand.ADD, 0, Match(), priority=0,
+                instructions=(ApplyActions([Output(4)]),))
+    ])
+    assert sw.compiled_table(0) is compiled  # absorbed in place
+    assert compiled.miss is compiled.namespace["_MISS"]
+    assert compiled.miss.goto is None
+    assert _longest_goto_chain(sw) == [0]

@@ -124,3 +124,26 @@ class TestStats:
         sw.process(http_pkt())
         sw.stats.reset()
         assert sw.stats.packets == 0
+
+
+def test_cached_replay_counts_bytes_after_earlier_vlan_push():
+    """A megaflow replay credits each rule with the frame length that rule
+    saw: after table 0 pushes a VLAN tag, table 1's rule counts 4 bytes
+    more per packet on the cached path, as on the slow path."""
+    from repro.openflow.actions import Output, PushVlan
+    from repro.openflow.flow_entry import FlowEntry
+    from repro.openflow.instructions import ApplyActions, GotoTable
+
+    t0 = FlowTable(0)
+    t0.add(FlowEntry(Match(in_port=1), priority=1,
+                     instructions=(ApplyActions([PushVlan(vid=7)]), GotoTable(1))))
+    t1 = FlowTable(1)
+    t1.add(FlowEntry(Match(), priority=0, actions=[Output(2)]))
+    sw = OvsSwitch(Pipeline([t0, t1]))
+    pkt = PacketBuilder(in_port=1).eth().ipv4().tcp().build()
+    for _ in range(3):  # one upcall, then cached replays
+        sw.process(pkt.copy())
+    first, second = sw.pipeline.table(0).entries[0], sw.pipeline.table(1).entries[0]
+    assert sw.stats.vswitchd_hits == 1
+    assert first.counters.bytes == 3 * len(pkt)
+    assert second.counters.bytes == 3 * (len(pkt) + 4)

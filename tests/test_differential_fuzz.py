@@ -62,6 +62,11 @@ class TestCorpus:
         assert "state-degrade-fuse" in names
         assert "state-quarantine" in names
 
+    def test_corpus_pins_slot_write_coverage(self):
+        """A slot write the standing fused driver does not cover must
+        re-fuse: this entry diverges if the driver is carried anyway."""
+        assert "traffic-slot-write-coverage" in set(_corpus_ids())
+
     def test_fixed_bugs_are_pinned(self):
         names = set(_corpus_ids())
         assert "regression-range-run-attribution" in names
